@@ -9,6 +9,7 @@ from .bkm import (
     channel_weights,
     log_mean_kernel,
     midpoint_margin,
+    midpoint_margins,
     petz_form,
     petz_midpoint_margin,
 )

@@ -20,27 +20,60 @@ POSITIVITY_FLOOR = 1e-12
 _SERIES_THRESHOLD = 1e-8
 
 
-def log_mean_kernel(a: float, c: float) -> float:
-    """L(a, c) = log(a/c)/(a - c), with L(a, a) = 1/a.
+def _log_mean(x, y) -> np.ndarray:
+    """Elementwise L(x, y) = log(x/y)/(x - y) for positive arrays, broadcast.
 
-    Near a = c the direct quotient cancels; there we use the even series
-    L = (2/(a+c)) (1 + z^2/3 + z^4/5 + z^6/7) with z = (a-c)/(a+c).
+    Near x = y the direct quotient cancels; there we use the even series
+    L = (2/(x+y)) (1 + z^2/3 + z^4/5 + z^6/7) with z = (x-y)/(x+y).  Above
+    the threshold, log1p((hi-lo)/lo) keeps the logarithm accurate to a few ulp
+    where log(hi/lo) would lose digits to the rounding of hi/lo.
     """
-    if a <= 0.0 or c <= 0.0:
-        raise DomainError(f"log_mean_kernel needs positive arguments, got ({a}, {c})")
-    hi, lo = (a, c) if a >= c else (c, a)  # exact symmetry in (a, c)
+    hi = np.maximum(x, y)  # exact symmetry in (x, y)
+    lo = np.minimum(x, y)
     s = hi + lo
     diff = hi - lo
-    if diff <= _SERIES_THRESHOLD * s:
-        z2 = (diff / s) ** 2
-        return (2.0 / s) * (1.0 + z2 / 3.0 + z2**2 / 5.0 + z2**3 / 7.0)
-    return float(np.log(hi / lo) / diff)
+    series = diff <= _SERIES_THRESHOLD * s
+    z2 = (diff / s) ** 2
+    near = (2.0 / s) * (1.0 + z2 / 3.0 + z2**2 / 5.0 + z2**3 / 7.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        direct = np.log1p(diff / lo) / diff
+    return np.where(series, near, direct)
 
 
-def _kernel_matrix(avals: np.ndarray, cvals: np.ndarray) -> np.ndarray:
-    return np.array(
-        [[log_mean_kernel(a, c) for c in cvals] for a in avals]
-    )
+def log_mean_kernel(a: float, c: float) -> float:
+    """L(a, c) = log(a/c)/(a - c), with L(a, a) = 1/a."""
+    if a <= 0.0 or c <= 0.0:
+        raise DomainError(f"log_mean_kernel needs positive arguments, got ({a}, {c})")
+    return float(_log_mean(np.float64(a), np.float64(c)))
+
+
+def _kernel(lam: np.ndarray, mu: np.ndarray, tag: str = "bkm") -> np.ndarray:
+    """K(lam_i, mu_j) for a named Petz metric, over the trailing axis of each.
+
+    ``"bkm"`` is the series-stable reciprocal logarithmic mean; every other tag
+    is 1/(mu_j f(lam_i/mu_j)).  Leading axes of ``lam`` and ``mu`` broadcast.
+    """
+    if tag not in PETZ_FUNCTIONS:
+        raise DomainError(f"unknown operator-monotone tag {tag!r}")
+    x = lam[..., :, None]
+    y = mu[..., None, :]
+    if tag == "bkm":
+        return _log_mean(x, y)
+    return 1.0 / (y * np.asarray(PETZ_FUNCTIONS[tag](x / y), dtype=float))
+
+
+def _rotate(v, x, w) -> np.ndarray:
+    """V* X W, over any leading stack axes."""
+    return np.swapaxes(v.conj(), -1, -2) @ x @ w
+
+
+def _form(sq, lam, mu, tag: str = "bkm"):
+    """sum_ij sq_ij K(lam_i, mu_j) with sq = |V* X W|^2, over any leading stack axes.
+
+    Every quadratic form here has this shape: the BKM form, channel weights,
+    the Hessian and the Petz metrics.
+    """
+    return np.sum(sq * _kernel(lam, mu, tag), axis=(-2, -1))
 
 
 def _eigh_positive(h, name: str):
@@ -57,19 +90,16 @@ def bkm_apply(a, c, b) -> np.ndarray:
     """Omega^{-1}(B) = int_0^inf (A + r)^{-1} B (C + r)^{-1} dr, spectrally."""
     wa, va = _eigh_positive(a, "A")
     wc, vc = _eigh_positive(c, "C")
-    b = np.asarray(b, dtype=complex)
-    bt = va.conj().T @ b @ vc
-    out = bt * _kernel_matrix(wa, wc)
-    return va @ out @ vc.conj().T
+    bt = _rotate(va, np.asarray(b, dtype=complex), vc)
+    return va @ (bt * _kernel(wa, wc)) @ vc.conj().T
 
 
 def bkm_form(a, c, b) -> float:
     """Tr[B* Omega^{-1}(B)] = sum_{ab} |B~_{ab}|^2 L(a_a, c_b) >= 0."""
     wa, va = _eigh_positive(a, "A")
     wc, vc = _eigh_positive(c, "C")
-    b = np.asarray(b, dtype=complex)
-    bt = va.conj().T @ b @ vc
-    return float(np.sum(np.abs(bt) ** 2 * _kernel_matrix(wa, wc)))
+    bt = _rotate(va, np.asarray(b, dtype=complex), vc)
+    return float(_form(np.abs(bt) ** 2, wa, wc))
 
 
 @dataclass(frozen=True)
@@ -85,8 +115,7 @@ class ChannelWeights:
         """frob_sq * sum w_{ab} L(a_a, c_b), the BKM form rebuilt from weights."""
         if self.frob_sq == 0.0:
             return 0.0
-        kern = _kernel_matrix(self.a_eigen, self.c_eigen)
-        return self.frob_sq * float(np.sum(self.weights * kern))
+        return self.frob_sq * float(_form(self.weights, self.a_eigen, self.c_eigen))
 
 
 def channel_weights(a, c, b) -> ChannelWeights:
@@ -98,7 +127,7 @@ def channel_weights(a, c, b) -> ChannelWeights:
     wc, vc = _eigh_positive(c, "C")
     b = np.asarray(b, dtype=complex)
     frob_sq = float(np.sum(np.abs(b) ** 2))
-    bt = va.conj().T @ b @ vc
+    bt = _rotate(va, b, vc)
     if frob_sq == 0.0:
         return ChannelWeights(
             weights=np.zeros(bt.shape), a_eigen=wa, c_eigen=wc, frob_sq=0.0
@@ -155,10 +184,7 @@ def bkm_quadrature(a, c, b, tol: float = 1e-10) -> float:
 
 def bkm_hessian(n, y) -> float:
     """H_N(Y, Y) = sum_{ij} |Y~_{ij}|^2 L(nu_i, nu_j) in the eigenbasis of N."""
-    wn, vn = _eigh_positive(n, "N")
-    y = validate_hermitian(y, "Y")
-    yt = vn.conj().T @ y @ vn
-    return float(np.sum(np.abs(yt) ** 2 * _kernel_matrix(wn, wn)))
+    return petz_form(n, y, "bkm")
 
 
 def _midpoint_inputs(state: BlockState):
@@ -178,28 +204,6 @@ def _midpoint_inputs(state: BlockState):
 SYMMETRY_TOL = 1e-9
 
 
-def midpoint_margin(state: BlockState, t_grid) -> np.ndarray:
-    """Margins H_{M+tY}(Y,Y) - H_M(Y,Y) along the coherence direction.
-
-    Also checks the block-sign symmetry H_{M+tY} = H_{M-tY} to SYMMETRY_TOL.
-    """
-    m, y = _midpoint_inputs(state)
-    t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(t_grid < 0.0) or np.any(t_grid >= 1.0):
-        raise DomainError("every t must lie in [0, 1)")
-    base = bkm_hessian(m, y)
-    margins = np.empty(len(t_grid))
-    for i, t in enumerate(t_grid):
-        plus = bkm_hessian(m + t * y, y)
-        minus = bkm_hessian(m - t * y, y)
-        if abs(plus - minus) > SYMMETRY_TOL:
-            raise NumericError(
-                f"midpoint symmetry violated at t={t}: |H+ - H-| = {abs(plus - minus):.3e}"
-            )
-        margins[i] = plus - base
-    return margins
-
-
 def _f_bkm(x):
     x = np.asarray(x, dtype=float)
     near_one = np.abs(x - 1.0) < 1e-12
@@ -215,39 +219,64 @@ PETZ_FUNCTIONS = {
 }
 
 
-def _petz_kernel(nu: np.ndarray, tag: str) -> np.ndarray:
-    if tag not in PETZ_FUNCTIONS:
-        raise DomainError(f"unknown operator-monotone tag {tag!r}")
-    if tag == "bkm":
-        # series-stable reciprocal logarithmic mean, identical to the BKM kernel
-        return _kernel_matrix(nu, nu)
-    f = PETZ_FUNCTIONS[tag]
-    ratio = nu[:, None] / nu[None, :]
-    return 1.0 / (nu[None, :] * np.asarray(f(ratio), dtype=float))
-
-
 def petz_form(n, y, tag: str) -> float:
     """Petz monotone metric g^f_N(Y, Y) = sum_{ij} |Y~_{ij}|^2 / (nu_j f(nu_i/nu_j))."""
     wn, vn = _eigh_positive(n, "N")
     y = validate_hermitian(y, "Y")
-    yt = vn.conj().T @ y @ vn
-    return float(np.sum(np.abs(yt) ** 2 * _petz_kernel(wn, tag)))
+    return float(_form(np.abs(_rotate(vn, y, vn)) ** 2, wn, wn, tag))
 
 
-def petz_midpoint_margin(state: BlockState, t_grid, tag: str) -> np.ndarray:
-    """Margins g^f_{M+tY}(Y,Y) - g^f_M(Y,Y) for a named Petz metric."""
+def midpoint_margins(state: BlockState, t_grid, tags) -> dict:
+    """Margins g^f_{M+tY}(Y,Y) - g^f_M(Y,Y) for each named Petz metric.
+
+    Returns {tag: margins over t_grid}; tag ``"bkm"`` gives the BKM Hessian
+    margins H_{M+tY}(Y,Y) - H_M(Y,Y).  One stacked eigendecomposition of M and
+    every M +- tY serves all tags.  Each M +- tY must be positive definite, and
+    every tag must satisfy the block-sign symmetry g_{M+tY} = g_{M-tY} to
+    SYMMETRY_TOL.
+    """
     m, y = _midpoint_inputs(state)
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid < 0.0) or np.any(t_grid >= 1.0):
         raise DomainError("every t must lie in [0, 1)")
-    base = petz_form(m, y, tag)
-    margins = np.empty(len(t_grid))
-    for i, t in enumerate(t_grid):
-        plus = petz_form(m + t * y, y, tag)
-        minus = petz_form(m - t * y, y, tag)
-        if abs(plus - minus) > SYMMETRY_TOL:
+    # Y is exactly Hermitian and vanishes on the diagonal blocks, so each
+    # M +- tY has the Hermitian defect of M and at least its scale.
+    m = validate_hermitian(m, "M")
+    y = validate_hermitian(y, "Y")
+    shifts = np.concatenate(([0.0], t_grid, -t_grid))
+    w, v = np.linalg.eigh(m + shifts[:, None, None] * y)
+    low = w[:, 0] <= POSITIVITY_FLOOR
+    if np.any(low):
+        k = int(np.argmax(low))
+        raise PositivityError(
+            f"M + tY must be positive definite at t = {shifts[k]}, "
+            f"lambda_min = {w[k, 0]:.3e}"
+        )
+    sq = np.abs(_rotate(v, y, v)) ** 2
+    n_t = len(t_grid)
+    out = {}
+    for tag in tags:
+        vals = _form(sq, w, w, tag)
+        plus, minus = vals[1 : n_t + 1], vals[n_t + 1 :]
+        gap = np.abs(plus - minus)
+        if np.any(gap > SYMMETRY_TOL):
+            i = int(np.argmax(gap))
             raise NumericError(
-                f"Petz midpoint symmetry violated at t={t} for tag {tag!r}"
+                f"midpoint symmetry violated at t={t_grid[i]} for tag {tag!r}: "
+                f"|g+ - g-| = {gap[i]:.3e}"
             )
-        margins[i] = plus - base
-    return margins
+        out[tag] = plus - vals[0]
+    return out
+
+
+def midpoint_margin(state: BlockState, t_grid) -> np.ndarray:
+    """Margins H_{M+tY}(Y,Y) - H_M(Y,Y) along the coherence direction.
+
+    Also checks the block-sign symmetry H_{M+tY} = H_{M-tY} to SYMMETRY_TOL.
+    """
+    return midpoint_margins(state, t_grid, ("bkm",))["bkm"]
+
+
+def petz_midpoint_margin(state: BlockState, t_grid, tag: str) -> np.ndarray:
+    """Margins g^f_{M+tY}(Y,Y) - g^f_M(Y,Y) for a named Petz metric."""
+    return midpoint_margins(state, t_grid, (tag,))[tag]

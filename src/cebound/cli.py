@@ -3,7 +3,7 @@
 Subcommands: verify, report, orbit, optimizer, separation, sharpness, modulus.
 Exit codes: 0 success, 1 inequality violation, 2 invalid flags or inputs.
 Randomized commands derive one RNG stream per (seed, dims, trial), so results
-do not depend on execution order; CEBOUND_THREADS caps verify parallelism.
+do not depend on execution order.
 """
 
 from __future__ import annotations
@@ -11,13 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .bkm import midpoint_margin, petz_midpoint_margin, PETZ_FUNCTIONS
+from .bkm import PETZ_FUNCTIONS, midpoint_margins
 from .bounds import bound_report, find_separation_eps, separation_family, sharpness_family
 from .dephasing import OrbitConfig, entropy_production, orbit_trace, write_orbit_csv
 from .errors import CeboundError
@@ -71,12 +69,10 @@ def _verify_trial(dim_p: int, dim_q: int, trial: int, seed: int) -> dict:
         report = bound_report(state)
         for name, value in report.margins.items():
             record(f"{name}", value)
-        record("midpoint", float(np.min(midpoint_margin(state, MIDPOINT_GRID))))
-        for tag in PETZ_FUNCTIONS:
-            record(
-                f"petz_{tag}",
-                float(np.min(petz_midpoint_margin(state, MIDPOINT_GRID, tag))),
-            )
+        mids = midpoint_margins(state, MIDPOINT_GRID, tuple(PETZ_FUNCTIONS))
+        record("midpoint", float(np.min(mids["bkm"])))
+        for tag, values in mids.items():
+            record(f"petz_{tag}", float(np.min(values)))
         floor = float(np.linalg.eigvalsh(state.a)[0])
         entropy, pinched_sum, merged = pipeline_values(state, floor)
         record("pipeline_pinch", entropy - pinched_sum)
@@ -104,14 +100,7 @@ def _cmd_verify(args) -> int:
         for dq in args.dims
         for trial in range(args.trials)
     ]
-    threads = int(os.environ.get("CEBOUND_THREADS", "1") or "1")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(lambda t: _verify_trial(*t, seed=args.seed), tasks)
-            )
-    else:
-        results = [_verify_trial(*t, seed=args.seed) for t in tasks]
+    results = [_verify_trial(*t, seed=args.seed) for t in tasks]
 
     worst = {}
     for task, margins in zip(tasks, results):

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bkm import bkm_form
+from .bkm import _midpoint_inputs, bkm_form
 from .errors import DomainError
 from .linalg import BlockState, _entropy_terms, pinch
 
@@ -32,17 +32,7 @@ class OrbitConfig:
     def __post_init__(self):
         if self.gamma <= 0.0 or self.t_max <= 0.0 or self.steps < 1:
             raise DomainError("need gamma > 0, t_max > 0, steps >= 1")
-        s = self.state
-        if (
-            np.linalg.eigvalsh(s.a)[0] <= 1e-12
-            or np.linalg.eigvalsh(s.c)[0] <= 1e-12
-        ):
-            raise DomainError("pinched state M must be positive definite")
-        m = pinch(s)
-        y = s.off_diagonal()
-        for sign in (+1.0, -1.0):
-            if np.linalg.eigvalsh(m + sign * y)[0] < -1e-12:
-                raise DomainError("M +- Y must be positive semidefinite")
+        _midpoint_inputs(self.state)
 
 
 def orbit_state(cfg: OrbitConfig, t: float) -> np.ndarray:

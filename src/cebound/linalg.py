@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleError, ValidationError
+from .errors import DomainError, InfeasibleError, PositivityError, ValidationError
 
 HERM_TOL = 1e-12
 PSD_TOL = 1e-12
@@ -147,21 +147,18 @@ def _entropy_terms(rho: np.ndarray, sigma: np.ndarray) -> float:
     sigma (sigma-eigenvalue below SUPPORT_TOL carrying rho-mass above
     SUPPORT_MASS_TOL).
     """
-    wr, vr = np.linalg.eigh(rho)
+    wr = np.linalg.eigvalsh(rho)
     ws, vs = np.linalg.eigh(sigma)
     scale_r = 1.0 + max(abs(wr[0]), abs(wr[-1]))
     # Tr[rho log rho]
     pos = wr > SUPPORT_TOL * scale_r
     s_rho = float(np.sum(wr[pos] * np.log(wr[pos])))
-    # Tr[rho log sigma] via the eigenbasis of sigma
-    masses = np.real(np.einsum("ij,jk,ki->i", vs.conj().T, rho, vs))
-    cross = 0.0
-    for lam, mass in zip(ws, masses):
-        if lam <= SUPPORT_TOL:
-            if mass > SUPPORT_MASS_TOL:
-                return float("inf")
-            continue
-        cross += mass * np.log(lam)
+    # Tr[rho log sigma] via the eigenbasis of sigma: masses_i = (V* rho V)_ii
+    masses = np.real(np.sum(vs.conj() * (rho @ vs), axis=0))
+    null = ws <= SUPPORT_TOL
+    if np.any(masses[null] > SUPPORT_MASS_TOL):
+        return float("inf")
+    cross = float(np.sum(masses[~null] * np.log(ws[~null])))
     return s_rho - cross
 
 
@@ -213,10 +210,36 @@ def _ginibre_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def _assemble(a, b, c) -> np.ndarray:
-    top = np.hstack([a, b])
-    bot = np.hstack([b.conj().T, c])
-    return np.vstack([top, bot])
+def _floor_mix_weight(w: np.ndarray, level: float, a0: float) -> float:
+    """Least t in [0, 1] with lambda_min((1-t) A + t level I) >= a0.
+
+    ``w`` holds the ascending eigenvalues of A.  The mixed minimum
+    (1-t) w[0] + t level is linear in t, so the crossing is exact.  The target
+    sits one rounding bound above a0, so that lambda_min of the mixed matrix,
+    as computed, clears a0 as well.  t = 1 when even ``level`` misses it.
+    """
+    floor = a0 + 4 * len(w) * np.finfo(float).eps * w[-1]
+    if w[0] >= floor:
+        return 0.0
+    if level <= floor:
+        return 1.0
+    return (floor - w[0]) / (level - w[0])
+
+
+def _max_psd_scale(wa, va, b, wc, vc) -> float:
+    """Largest s with [[A, s B], [s B*, C]] PSD, from the spectra of A and C.
+
+    By the Schur complement, s = 1/||A^{-1/2} B C^{-1/2}||_2.  A or C that is
+    numerically singular raises instead of returning 0, inf or nan.
+    """
+    for name, w in (("A", wa), ("C", wc)):
+        if w[0] <= SUPPORT_TOL * w[-1]:
+            raise PositivityError(
+                f"boundary ensemble needs {name} positive definite, "
+                f"lambda_min = {w[0]:.3e}"
+            )
+    x = (va.conj().T @ b @ vc) / np.sqrt(np.outer(wa, wc))
+    return 1.0 / float(np.linalg.svd(x, compute_uv=False)[0])
 
 
 def random_block_state(
@@ -254,24 +277,11 @@ def random_block_state(
     c = s.c * (eps_q / np.trace(s.c).real)
     trace_a = 1.0 - eps_q
     a_raw = s.a * (trace_a / np.trace(s.a).real)
-    a_mix = (trace_a / dim_p) * np.eye(dim_p)
-    # lambda_min((1-t) a_raw + t a_mix) is concave in t and >= a0 at t = 1,
-    # so the feasible set is an interval ending at 1: bisect its left edge.
-    def lam_min(t):
-        return np.linalg.eigvalsh((1 - t) * a_raw + t * a_mix)[0]
-
-    if lam_min(0.0) >= a0:
-        a = a_raw
-    else:
-        lo, hi = 0.0, 1.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if lam_min(mid) >= a0:
-                hi = mid
-            else:
-                lo = mid
-        a = (1 - hi) * a_raw + hi * a_mix
-    # largest B scale keeping the assembled state PSD
+    level = trace_a / dim_p
+    w_raw, va = np.linalg.eigh(a_raw)
+    t = _floor_mix_weight(w_raw, level, a0)
+    a = (1 - t) * a_raw + t * level * np.eye(dim_p)
+    wa = (1 - t) * w_raw + t * level  # the mix keeps the eigenvectors of a_raw
     b_raw = s.b
     if np.linalg.norm(b_raw) < 1e-14:
         b_raw = (
@@ -279,21 +289,9 @@ def random_block_state(
             + 1j * rng.standard_normal((dim_p, dim_q))
         )
     b_unit = b_raw / np.linalg.norm(b_raw)
-
-    def psd_at(scale):
-        return np.linalg.eigvalsh(_assemble(a, scale * b_unit, c))[0] >= 0.0
-
-    hi = 1.0
-    while psd_at(hi) and hi < 1e6:
-        hi *= 2.0
-    lo = 0.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if psd_at(mid):
-            lo = mid
-        else:
-            hi = mid
-    return BlockState(dim_p=dim_p, dim_q=dim_q, a=a, b=lo * b_unit, c=c)
+    wc, vc = np.linalg.eigh(c)
+    scale = _max_psd_scale(wa, va, b_unit, wc, vc)
+    return BlockState(dim_p=dim_p, dim_q=dim_q, a=a, b=scale * b_unit, c=c)
 
 
 def two_level_pure(q: float) -> BlockState:

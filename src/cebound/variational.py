@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InfeasibleError, NumericError, SamplingError
-from .linalg import BlockState, _entropy_terms, coherence_entropy
+from .linalg import BlockState, _entropy_terms, _floor_mix_weight, coherence_entropy
 from .twolevel import TwoLevelParams, phi
 
 COMPLETENESS_TOL = 1e-12
@@ -403,25 +403,15 @@ def sample_feasible(
         g = rng.standard_normal((d_p, d_p)) + 1j * rng.standard_normal((d_p, d_p))
         a_raw = g @ g.conj().T
         a_raw *= target_a / np.trace(a_raw).real
-        a_mix = (target_a / d_p) * np.eye(d_p)
-
-        def lam_min(t):
-            return np.linalg.eigvalsh((1 - t) * a_raw + t * a_mix)[0]
-
-        if lam_min(0.0) >= a0:
+        level = target_a / d_p
+        w = np.linalg.eigvalsh(a_raw)
+        if w[0] >= a0:
             t_mix = rng.uniform(0.0, 1.0)
-            if lam_min(t_mix) < a0:
+            if (1 - t_mix) * w[0] + t_mix * level < a0:
                 t_mix = 1.0
         else:
-            lo, hi = 0.0, 1.0
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if lam_min(mid) >= a0:
-                    hi = mid
-                else:
-                    lo = mid
-            t_mix = hi
-        a = (1 - t_mix) * a_raw + t_mix * a_mix
+            t_mix = _floor_mix_weight(w, level, a0)
+        a = (1 - t_mix) * a_raw + t_mix * level * np.eye(d_p)
 
         if eps > 0.0:
             g = rng.standard_normal((d_q, d_q)) + 1j * rng.standard_normal((d_q, d_q))

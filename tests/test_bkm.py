@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cebound import (
     DomainError,
+    NumericError,
     PositivityError,
     bkm_apply,
     bkm_form,
@@ -17,11 +18,13 @@ from cebound import (
     channel_weights,
     log_mean_kernel,
     midpoint_margin,
+    midpoint_margins,
     petz_form,
     petz_midpoint_margin,
     random_block_state,
     two_level_pure,
 )
+import cebound.bkm
 from cebound.bkm import PETZ_FUNCTIONS
 from cebound.linalg import pinch
 
@@ -88,8 +91,21 @@ def test_kernel_series_branch_continuity():
     a = 1.0
     for delta in (1e-9, 1e-8, 3e-8, 1e-7):
         exact = -math.log1p(-delta / a) / delta  # cancellation-free reference
-        # direct-branch cancellation near the switch caps accuracy at ~1e-8
-        assert log_mean_kernel(a, a - delta) == pytest.approx(exact, rel=1e-7)
+        assert log_mean_kernel(a, a - delta) == pytest.approx(exact, rel=1e-14)
+
+
+def test_kernel_matches_mpmath_across_relative_gaps():
+    from mpmath import log as mplog, mpf, workdps
+
+    worst = 0.0
+    with workdps(50):
+        for base in (1e-6, 3e-3, 0.2, 1.0, 7.5e2):
+            for gap in np.logspace(-12, -1, 45):
+                for a, c in ((base, base * (1.0 - gap)), (base * (1.0 + gap), base)):
+                    exact = mplog(mpf(a) / mpf(c)) / (mpf(a) - mpf(c))
+                    rel = abs((log_mean_kernel(a, c) - exact) / exact)
+                    worst = max(worst, float(rel))
+    assert worst <= 1e-14
 
 
 def test_scalar_midpoint_kernel_inequality():
@@ -329,3 +345,47 @@ def test_petz_midpoint_all_tags_nonnegative():
     for s in random_states(10, (1, 2, 3), 770):
         for tag in PETZ_FUNCTIONS:
             assert np.all(petz_midpoint_margin(s, grid, tag) >= -1e-9)
+
+
+# ------------------------------------------------- shared midpoint margins
+
+def _per_matrix_margins(s, grid, tag):
+    """Reference: one petz_form per matrix, as the margins were first computed."""
+    m, y = pinch(s), s.off_diagonal()
+    base = petz_form(m, y, tag)
+    return np.array([petz_form(m + t * y, y, tag) - base for t in grid])
+
+
+def test_midpoint_margins_match_wrappers_and_reference():
+    grid = [0.0, 0.25, 0.5, 0.75, 0.9]
+    tags = tuple(PETZ_FUNCTIONS)
+    states = random_states(6, (1, 2, 3, 4), 660) + random_states(
+        6, (1, 2, 3, 4), 661, "boundary", a0=0.1, eps_q=0.05
+    )
+    for s in states:
+        shared = midpoint_margins(s, grid, tags)
+        assert set(shared) == set(tags)
+        assert np.max(np.abs(shared["bkm"] - midpoint_margin(s, grid))) <= 1e-15
+        for tag in tags:
+            wrapped = petz_midpoint_margin(s, grid, tag)
+            assert np.max(np.abs(shared[tag] - wrapped)) <= 1e-15
+            reference = _per_matrix_margins(s, grid, tag)
+            assert np.allclose(shared[tag], reference, rtol=0.0, atol=1e-12), tag
+
+
+def test_midpoint_margins_symmetry_check_runs_for_every_tag(monkeypatch):
+    # H_{M+tY} = H_{M-tY} holds exactly in theory; a negative tolerance makes
+    # any computed pair fail, which shows the check is made for each tag
+    monkeypatch.setattr(cebound.bkm, "SYMMETRY_TOL", -1.0)
+    s = random_block_state(2, 2, 46)
+    for tag in PETZ_FUNCTIONS:
+        with pytest.raises(NumericError, match=repr(tag)):
+            midpoint_margins(s, [0.5], (tag,))
+    with pytest.raises(NumericError):
+        midpoint_margin(s, [0.5])
+
+
+def test_midpoint_margins_unknown_tag():
+    s = random_block_state(2, 2, 47)
+    with pytest.raises(DomainError):
+        midpoint_margins(s, [0.5], ("bkm", "bures"))

@@ -3,10 +3,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from cebound import two_level_pure, write_state_json
-from cebound.cli import main
+from cebound.cli import _verify_trial, main
 from cebound.twolevel import binary_entropy, phi
 
 
@@ -58,6 +59,31 @@ def test_verify_deterministic_output(capsys):
     _, out1, _ = run(capsys, *flags)
     _, out2, _ = run(capsys, *flags)
     assert out1 == out2
+
+
+def test_verify_output_ignores_cebound_threads(capsys, monkeypatch):
+    flags = ("verify", "--dims", "1..2", "--trials", "2", "--seed", "7")
+    monkeypatch.delenv("CEBOUND_THREADS", raising=False)
+    _, unset, _ = run(capsys, *flags)
+    monkeypatch.setenv("CEBOUND_THREADS", "2")
+    _, pinned, _ = run(capsys, *flags)
+    assert unset == pinned
+
+
+def test_verify_trial_eigensolver_budget(monkeypatch):
+    # one spectral pass per matrix: 88 eigh/eigvalsh calls per trial today,
+    # against 322 when every Petz tag re-diagonalised each M +- tY
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    _verify_trial(2, 2, 0, 7)
+    assert len(calls) <= 100
 
 
 def test_verify_rejects_zero_trials(capsys):

@@ -11,6 +11,7 @@ from cebound import (
     BlockState,
     DomainError,
     InfeasibleError,
+    PositivityError,
     ValidationError,
     block_decompose,
     coherence_entropy,
@@ -25,6 +26,7 @@ from cebound import (
     validate_hermitian,
     write_state_json,
 )
+import cebound.linalg
 from cebound.twolevel import binary_entropy
 
 from conftest import random_states
@@ -156,6 +158,18 @@ def test_relative_entropy_support_mismatch_is_infinite():
     assert relative_entropy(rho, sigma) == math.inf
 
 
+def test_relative_entropy_matches_matrix_logarithms(rng):
+    def logm(h):
+        w, v = np.linalg.eigh(h)
+        return (v * np.log(w)) @ v.conj().T
+
+    for _ in range(10):
+        rho = random_block_state(3, 2, int(rng.integers(1 << 30))).to_matrix()
+        sigma = random_block_state(3, 2, int(rng.integers(1 << 30))).to_matrix()
+        expected = float(np.trace(rho @ (logm(rho) - logm(sigma))).real)
+        assert relative_entropy(rho, sigma) == pytest.approx(expected, abs=1e-12)
+
+
 def test_relative_entropy_dimension_mismatch():
     with pytest.raises(DomainError):
         relative_entropy(np.eye(2) / 2, np.eye(3) / 3)
@@ -240,6 +254,29 @@ def test_random_state_boundary_constraints():
 def test_random_state_boundary_infeasible():
     with pytest.raises(InfeasibleError):
         random_block_state(2, 2, 9, "boundary", a0=0.6, eps_q=0.05)
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (1, 3), (2, 3), (3, 2), (4, 4), (8, 5)])
+def test_random_state_boundary_floor_and_maximal_coherence(dims):
+    dp, dq = dims
+    a0 = 0.6 / dp
+    for seed in range(5):
+        s = random_block_state(dp, dq, 900 + seed, "boundary", a0=a0, eps_q=0.2 / dp)
+        assert np.linalg.eigvalsh(s.a)[0] >= a0 - 1e-12
+        assert np.linalg.eigvalsh(s.to_matrix())[0] >= -1e-12
+        wider = BlockState(dim_p=dp, dim_q=dq, a=s.a, b=(1.0 + 1e-9) * s.b, c=s.c)
+        assert np.linalg.eigvalsh(wider.to_matrix())[0] < -1e-13
+
+
+def test_random_state_boundary_singular_block_is_typed_error(monkeypatch):
+    # a pure 4x4 draw makes A and C rank one; with a0 = 0 nothing mixes A,
+    # so the largest PSD scale of B is undefined
+    psi = np.array([0.5, 0.5j, -0.5, 0.5])
+    monkeypatch.setattr(
+        cebound.linalg, "_ginibre_density", lambda rng, dim: np.outer(psi, psi.conj())
+    )
+    with pytest.raises(PositivityError):
+        random_block_state(2, 2, 1, "boundary", a0=0.0, eps_q=0.1)
 
 
 def test_random_state_bad_ensemble():
