@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError, PositivityError
-from .linalg import BlockState, validate_hermitian
+from .linalg import BlockState, pinch, validate_hermitian
 
 POSITIVITY_FLOOR = 1e-12
 _SERIES_THRESHOLD = 1e-8
@@ -188,9 +188,7 @@ def bkm_hessian(n, y) -> float:
 
 
 def _midpoint_inputs(state: BlockState):
-    m = np.zeros((state.dim, state.dim), dtype=complex)
-    m[: state.dim_p, : state.dim_p] = state.a
-    m[state.dim_p :, state.dim_p :] = state.c
+    m = pinch(state)
     y = state.off_diagonal()
     wm = np.linalg.eigvalsh(m)
     if wm[0] <= POSITIVITY_FLOOR:
@@ -204,15 +202,8 @@ def _midpoint_inputs(state: BlockState):
 SYMMETRY_TOL = 1e-9
 
 
-def _f_bkm(x):
-    x = np.asarray(x, dtype=float)
-    near_one = np.abs(x - 1.0) < 1e-12
-    safe = np.where(near_one, 2.0, x)
-    return np.where(near_one, 1.0, (safe - 1.0) / np.log(safe))
-
-
 PETZ_FUNCTIONS = {
-    "bkm": _f_bkm,
+    "bkm": lambda x: 1.0 / _log_mean(np.asarray(x, dtype=float), 1.0),
     "arithmetic": lambda x: (1.0 + np.asarray(x, dtype=float)) / 2.0,
     "geometric": lambda x: np.sqrt(np.asarray(x, dtype=float)),
     "harmonic": lambda x: 2.0 * np.asarray(x, dtype=float) / (1.0 + x),

@@ -20,9 +20,8 @@ from .bounds import bound_report, find_separation_eps, separation_family, sharpn
 from .dephasing import OrbitConfig, entropy_production, orbit_trace, write_orbit_csv
 from .errors import CeboundError
 from .linalg import pinch, pythagorean_residual, random_block_state, read_state_json
-from .twolevel import phi
+from .variational import modulus_curve, pipeline_values
 from .variational import optimizer as variational_optimizer
-from .variational import pipeline_values
 
 MIDPOINT_GRID = (0.25, 0.5, 0.75, 0.9)
 DEPHASING_TIMES = (0.0, 0.5, 1.0)
@@ -39,11 +38,18 @@ def _parse_dims(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def _parse_float_list(text: str) -> list:
+def _finite_float(text: str) -> float:
     try:
-        return [float(tok) for tok in text.split(",") if tok]
+        value = float(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad float list {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _parse_float_list(text: str) -> list:
+    return [_finite_float(tok) for tok in text.split(",") if tok]
 
 
 def _verify_trial(dim_p: int, dim_q: int, trial: int, seed: int) -> dict:
@@ -73,8 +79,7 @@ def _verify_trial(dim_p: int, dim_q: int, trial: int, seed: int) -> dict:
         record("midpoint", float(np.min(mids["bkm"])))
         for tag, values in mids.items():
             record(f"petz_{tag}", float(np.min(values)))
-        floor = float(np.linalg.eigvalsh(state.a)[0])
-        entropy, pinched_sum, merged = pipeline_values(state, floor)
+        entropy, pinched_sum, merged = pipeline_values(state, report.params["a0"])
         record("pipeline_pinch", entropy - pinched_sum)
         record("pipeline_merge", pinched_sum - merged)
         sigma = pinch(
@@ -192,11 +197,9 @@ def _cmd_sharpness(args) -> int:
 
 
 def _cmd_modulus(args) -> int:
+    rows = modulus_curve(args.a_star, args.tau, args.eps)
     print("eps_q,phi,phi_per_coherence")
-    for eps_q in args.eps:
-        c = args.tau * args.a_star * eps_q
-        val = phi(args.a_star, eps_q, c)
-        per = val / c if c > 0.0 else math.nan
+    for eps_q, val, per in rows:
         print(f"{eps_q:.17g},{val:.17g},{per:.17g}")
     return 0
 
@@ -212,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", type=_parse_dims, default=range(2, 4))
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_finite_float, default=1e-9)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_verify)
 
@@ -223,22 +226,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("orbit", help="dephasing orbit CSV for a JSON state file")
     p.add_argument("state")
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--t-max", type=float, required=True)
+    p.add_argument("--gamma", type=_finite_float, required=True)
+    p.add_argument("--t-max", type=_finite_float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_orbit)
 
     p = sub.add_parser("optimizer", help="explicit two-level entropy minimizer")
-    p.add_argument("--a0", type=float, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--c", type=float, required=True)
+    p.add_argument("--a0", type=_finite_float, required=True)
+    p.add_argument("--eps", type=_finite_float, required=True)
+    p.add_argument("--c", type=_finite_float, required=True)
     p.add_argument("--dp", type=int, required=True)
     p.add_argument("--dq", type=int, required=True)
     p.set_defaults(func=_cmd_optimizer)
 
     p = sub.add_parser("separation", help="operator vs scalar bound separation witness")
-    p.add_argument("--K", dest="k", type=float, required=True)
+    p.add_argument("--K", dest="k", type=_finite_float, required=True)
     p.set_defaults(func=_cmd_separation)
 
     p = sub.add_parser("sharpness", help="two-level sharpness ratios")
@@ -246,8 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sharpness)
 
     p = sub.add_parser("modulus", help="boundary scaling modulus table")
-    p.add_argument("--a-star", dest="a_star", type=float, required=True)
-    p.add_argument("--tau", type=float, required=True)
+    p.add_argument("--a-star", dest="a_star", type=_finite_float, required=True)
+    p.add_argument("--tau", type=_finite_float, required=True)
     p.add_argument("--eps", type=_parse_float_list, required=True)
     p.set_defaults(func=_cmd_modulus)
 

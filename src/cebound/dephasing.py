@@ -8,63 +8,83 @@ is bounded below by 2 Gamma e^{-2 Gamma t} Tr[B* Omega^{-1}(B)].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .bkm import _midpoint_inputs, bkm_form
+from .bounds import log_boundary_bound
 from .errors import DomainError
-from .linalg import BlockState, _entropy_terms, pinch
+from .linalg import BlockState, _xlogx_sum
 
 RATE_REL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class OrbitConfig:
-    """A dephasing run: initial split state, rate gamma, horizon, grid size."""
+    """A dephasing run: initial split state, rate gamma, horizon, grid size.
+
+    M = pinch(rho) is constant along the orbit, so M, Y = rho - M, Tr[M log M],
+    the BKM form and the log-boundary bound are computed at most once per config.
+    """
 
     state: BlockState
     gamma: float
     t_max: float
     steps: int
+    m: np.ndarray = field(init=False, repr=False, compare=False)
+    y: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.gamma <= 0.0 or self.t_max <= 0.0 or self.steps < 1:
-            raise DomainError("need gamma > 0, t_max > 0, steps >= 1")
-        _midpoint_inputs(self.state)
+        # nan fails every comparison, so it is rejected with inf
+        finite = 0.0 < self.gamma < math.inf and 0.0 < self.t_max < math.inf
+        if not finite or self.steps < 1:
+            raise DomainError("need finite gamma > 0, finite t_max > 0, steps >= 1")
+        m, y = _midpoint_inputs(self.state)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "y", y)
+
+    @cached_property
+    def tr_m_log_m(self) -> float:
+        """Tr[M log M]; Tr[Y log M] = 0 because log M is block diagonal."""
+        return _xlogx_sum(np.linalg.eigvalsh(self.m))
+
+    @cached_property
+    def bkm(self) -> float:
+        s = self.state
+        return bkm_form(s.a, s.c, s.b)
+
+    @cached_property
+    def log_bound(self) -> float | None:
+        return log_boundary_bound(self.state)
 
 
 def orbit_state(cfg: OrbitConfig, t: float) -> np.ndarray:
     """rho_t = M + e^{-Gamma t} Y, exactly."""
     if t < 0.0:
         raise DomainError(f"t must be nonnegative, got {t}")
-    m = pinch(cfg.state)
-    y = cfg.state.off_diagonal()
-    return m + math.exp(-cfg.gamma * t) * y
+    return cfg.m + math.exp(-cfg.gamma * t) * cfg.y
 
 
 def _entropy_at_alpha(cfg: OrbitConfig, alpha: float) -> float:
-    m = pinch(cfg.state)
-    y = cfg.state.off_diagonal()
-    return _entropy_terms(m + alpha * y, m)
-
-
-def _logm_psd(h: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(h)
-    # floor keeps log finite at the support boundary (pure-state orbit at t=0,
-    # where the true rate diverges to +inf)
-    w = np.clip(w, 1e-300, None)
-    return (v * np.log(w)) @ v.conj().T
+    """D(M + alpha Y || M) = Tr[rho log rho] - Tr[M log M]."""
+    return _xlogx_sum(np.linalg.eigvalsh(cfg.m + alpha * cfg.y)) - cfg.tr_m_log_m
 
 
 def analytic_rate(cfg: OrbitConfig, t: float) -> float:
-    """-dD/dt = Gamma alpha Tr[Y (log(M + alpha Y) - log M)], alpha = e^{-Gamma t}."""
-    m = pinch(cfg.state)
-    y = cfg.state.off_diagonal()
+    """-dD/dt = Gamma alpha Tr[Y log(M + alpha Y)], alpha = e^{-Gamma t}.
+
+    The term -Tr[Y log M] of the derivative vanishes: log M is block diagonal.
+    """
     alpha = math.exp(-cfg.gamma * t)
-    diff = _logm_psd(m + alpha * y) - _logm_psd(m)
-    return cfg.gamma * alpha * float(np.trace(y @ diff).real)
+    w, v = np.linalg.eigh(cfg.m + alpha * cfg.y)
+    # floor keeps log finite at the support boundary (pure-state orbit at t=0,
+    # where the true rate diverges to +inf)
+    w = np.clip(w, 1e-300, None)
+    masses = np.real(np.sum(v.conj() * (cfg.y @ v), axis=0))
+    return cfg.gamma * alpha * float(masses @ np.log(w))
 
 
 def fd_rate(cfg: OrbitConfig, t: float) -> float:
@@ -89,6 +109,11 @@ class ProductionPoint(NamedTuple):
     margin: float
 
 
+def _decay(cfg: OrbitConfig, t: float) -> float:
+    """The bound prefactor 2 Gamma e^{-2 Gamma t}."""
+    return 2.0 * cfg.gamma * math.exp(-2.0 * cfg.gamma * t)
+
+
 def entropy_production(cfg: OrbitConfig, t: float) -> ProductionPoint:
     """Entropy production rate at time t versus its BKM lower bound.
 
@@ -99,29 +124,14 @@ def entropy_production(cfg: OrbitConfig, t: float) -> ProductionPoint:
     if t < 0.0:
         raise DomainError(f"t must be nonnegative, got {t}")
     rate = analytic_rate(cfg, t)
-    s = cfg.state
-    bound = (
-        2.0 * cfg.gamma * math.exp(-2.0 * cfg.gamma * t) * bkm_form(s.a, s.c, s.b)
-    )
+    bound = _decay(cfg, t) * cfg.bkm
     return ProductionPoint(rate=rate, bound=bound, margin=rate - bound)
 
 
 def log_enhanced_bound(cfg: OrbitConfig, t: float) -> float | None:
     """2 Gamma e^{-2 Gamma t} ||B||_F^2 log(a0/eps_Q), or None when the
     boundary hypotheses (a0 > 0, eps_Q <= a0/2) fail."""
-    s = cfg.state
-    a0 = float(np.linalg.eigvalsh(s.a)[0])
-    eps_q = float(np.trace(s.c).real)
-    if a0 <= 0.0 or eps_q <= 0.0 or eps_q > a0 / 2.0:
-        return None
-    frob_sq = float(np.sum(np.abs(s.b) ** 2))
-    return (
-        2.0
-        * cfg.gamma
-        * math.exp(-2.0 * cfg.gamma * t)
-        * frob_sq
-        * math.log(a0 / eps_q)
-    )
+    return None if cfg.log_bound is None else _decay(cfg, t) * cfg.log_bound
 
 
 class OrbitRow(NamedTuple):

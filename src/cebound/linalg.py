@@ -140,6 +140,12 @@ def pinch(state: BlockState) -> np.ndarray:
     return m
 
 
+def _xlogx_sum(w: np.ndarray) -> float:
+    """Tr[X log X] from the eigenvalues w of PSD X, cut at SUPPORT_TOL (1 + max|w|)."""
+    pos = w[w > SUPPORT_TOL * (1.0 + np.max(np.abs(w)))]
+    return float(np.sum(pos * np.log(pos)))
+
+
 def _entropy_terms(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Tr[rho (log rho - log sigma)] for PSD rho, sigma (not necessarily trace 1).
 
@@ -147,19 +153,14 @@ def _entropy_terms(rho: np.ndarray, sigma: np.ndarray) -> float:
     sigma (sigma-eigenvalue below SUPPORT_TOL carrying rho-mass above
     SUPPORT_MASS_TOL).
     """
-    wr = np.linalg.eigvalsh(rho)
     ws, vs = np.linalg.eigh(sigma)
-    scale_r = 1.0 + max(abs(wr[0]), abs(wr[-1]))
-    # Tr[rho log rho]
-    pos = wr > SUPPORT_TOL * scale_r
-    s_rho = float(np.sum(wr[pos] * np.log(wr[pos])))
     # Tr[rho log sigma] via the eigenbasis of sigma: masses_i = (V* rho V)_ii
     masses = np.real(np.sum(vs.conj() * (rho @ vs), axis=0))
     null = ws <= SUPPORT_TOL
     if np.any(masses[null] > SUPPORT_MASS_TOL):
         return float("inf")
     cross = float(np.sum(masses[~null] * np.log(ws[~null])))
-    return s_rho - cross
+    return _xlogx_sum(np.linalg.eigvalsh(rho)) - cross
 
 
 def relative_entropy(rho, sigma) -> float:
@@ -177,8 +178,14 @@ def relative_entropy(rho, sigma) -> float:
 
 
 def coherence_entropy(state: BlockState) -> float:
-    """D(rho || pinch(rho)), the relative entropy of coherence of the split."""
-    return _entropy_terms(state.to_matrix(), pinch(state))
+    """D(rho || pinch(rho)) = S(pinch(rho)) - S(rho), the relative entropy of coherence.
+
+    log pinch(rho) = log A (+) log C is block diagonal, so Tr[rho log pinch(rho)]
+    = Tr[A log A] + Tr[C log C].  The support of a PSD rho lies inside that of
+    pinch(rho), so D is finite and needs no eigenvectors.
+    """
+    xa, xc = (_xlogx_sum(np.linalg.eigvalsh(blk)) for blk in (state.a, state.c))
+    return _xlogx_sum(np.linalg.eigvalsh(state.to_matrix())) - (xa + xc)
 
 
 def pythagorean_residual(state: BlockState, sigma) -> float:
@@ -318,22 +325,23 @@ def write_state_json(path, state: BlockState) -> None:
 
 
 def read_state_json(path) -> BlockState:
-    """Load and validate a BlockState from the JSON state-file format."""
+    """Load a BlockState from a state file; a malformed file raises ValidationError."""
     with open(path) as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise ValidationError(f"state file is not valid JSON: {exc}") from exc
     try:
         dim_p = int(payload["dim_p"])
         dim_q = int(payload["dim_q"])
-        matrix = payload["matrix"]
-    except (KeyError, TypeError) as exc:
+        rows = [[complex(re, im) for re, im in row] for row in payload["matrix"]]
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed state file: {exc}") from exc
     d = dim_p + dim_q
-    if len(matrix) != d or any(len(row) != d for row in matrix):
+    if len(rows) != d or any(len(row) != d for row in rows):
         raise ValidationError(
             f"matrix must be {d}x{d} for dim_p={dim_p}, dim_q={dim_q}"
         )
-    rho = np.array(
-        [[complex(entry[0], entry[1]) for entry in row] for row in matrix]
-    )
+    rho = np.array(rows)
     validate_density(rho, "state file matrix")
     return block_decompose(rho, dim_p)

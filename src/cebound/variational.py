@@ -100,15 +100,9 @@ def svd_pinch(state: BlockState) -> PinchedData:
     r_q[dp:, dp:] = v_perp @ v_perp.conj().T
     kraus.extend([r_p, r_q])
     channel = _checked_channel(d, d, kraus)
-    kernel_a = (
-        np.linalg.eigvalsh(u_perp.conj().T @ state.a @ u_perp)
-        if u_perp.shape[1]
-        else np.zeros(0)
-    )
-    kernel_c = (
-        np.linalg.eigvalsh(v_perp.conj().T @ state.c @ v_perp)
-        if v_perp.shape[1]
-        else np.zeros(0)
+    kernel_a, kernel_c = (
+        np.linalg.eigvalsh(perp.conj().T @ x @ perp) if perp.shape[1] else np.zeros(0)
+        for x, perp in ((state.a, u_perp), (state.c, v_perp))
     )
     return PinchedData(
         channels=tuple(channels),
@@ -239,23 +233,19 @@ class MergeResult:
 
 
 def _merge_radii(avals: list, xvals: list, a_target: float, x_total: float) -> list:
-    """Step 1: r_j on the path (1-t) sqrt(x_j/X) + t with sum a_j r_j^2 = A."""
-    if x_total == 0.0:
-        t = math.sqrt(a_target / sum(avals))
-        return [t] * len(avals)
-    base = [math.sqrt(x / x_total) for x in xvals]
+    """Step 1: r_j = (1-t) b_j + t with b_j = sqrt(x_j/X) and sum a_j r_j^2 = A.
 
-    def excess(t: float) -> float:
-        return sum(a * ((1 - t) * b + t) ** 2 for a, b in zip(avals, base)) - a_target
-
-    lo, hi = 0.0, 1.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if excess(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    t = 0.5 * (lo + hi)
+    The constraint is p t^2 + 2 q t + r = 0 with p = sum a_j (1-b_j)^2,
+    q = sum a_j b_j (1-b_j) >= 0 and r = sum a_j b_j^2 - A <= 0, whose root in
+    [0, 1] is t = -r/(q + sqrt(q^2 - p r)).  The denominator vanishes only
+    when every t gives the same radii (one block with x > 0); then t = 0.
+    """
+    base = [math.sqrt(x / x_total) if x_total > 0.0 else 0.0 for x in xvals]
+    p = sum(a * (1 - b) ** 2 for a, b in zip(avals, base))
+    q = sum(a * b * (1 - b) for a, b in zip(avals, base))
+    r = sum(a * b * b for a, b in zip(avals, base)) - a_target
+    denom = q + math.sqrt(max(q * q - p * r, 0.0))
+    t = -r / denom if denom > 0.0 else 0.0
     return [(1 - t) * b + t for b in base]
 
 
@@ -277,7 +267,7 @@ def merge_channel(spec: MergeSpec) -> MergeResult:
     radii = _merge_radii(avals, xvals, a_m, x_m)
     check = sum(a * r * r for a, r in zip(avals, radii))
     if abs(check - a_m) > 1e-12 * (1.0 + a_m):
-        raise NumericError(f"merge radii bisection missed A: {check} vs {a_m}")
+        raise NumericError(f"merge radii missed A: {check} vs {a_m}")
 
     if x_m > 0.0:
         ell = [r * math.sqrt(x) for r, x in zip(radii, xvals)]
@@ -306,16 +296,13 @@ def merge_channel(spec: MergeSpec) -> MergeResult:
 
     # step 5: the output active block must be ((A, sqrt(X)), (sqrt(X), E))
     m_in = np.zeros((dim_in, dim_in), dtype=complex)
-    d_in = np.zeros((dim_in, dim_in), dtype=complex)
     for j, (a, eps, x) in enumerate(blocks):
         m_in[2 * j, 2 * j] = a
         m_in[2 * j + 1, 2 * j + 1] = eps
         m_in[2 * j, 2 * j + 1] = math.sqrt(x)
         m_in[2 * j + 1, 2 * j] = math.sqrt(x)
-        d_in[2 * j, 2 * j] = a
-        d_in[2 * j + 1, 2 * j + 1] = eps
     m_in[2 * k, 2 * k] = spec.eps_rem
-    d_in[2 * k, 2 * k] = spec.eps_rem
+    d_in = np.diag(np.diag(m_in))
     m_out = channel.apply(m_in)
     active = np.array([[a_m, math.sqrt(x_m)], [math.sqrt(x_m), e_m]])
     if np.max(np.abs(m_out[:2, :2] - active)) > 1e-10:

@@ -6,7 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from cebound import two_level_pure, write_state_json
+from cebound import (
+    OrbitConfig,
+    orbit_trace,
+    random_block_state,
+    two_level_pure,
+    write_state_json,
+)
 from cebound.cli import _verify_trial, main
 from cebound.twolevel import binary_entropy, phi
 
@@ -70,9 +76,7 @@ def test_verify_output_ignores_cebound_threads(capsys, monkeypatch):
     assert unset == pinned
 
 
-def test_verify_trial_eigensolver_budget(monkeypatch):
-    # one spectral pass per matrix: 88 eigh/eigvalsh calls per trial today,
-    # against 322 when every Petz tag re-diagonalised each M +- tY
+def _count_eigensolver_calls(monkeypatch):
     calls = []
     for name in ("eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
@@ -82,8 +86,26 @@ def test_verify_trial_eigensolver_budget(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_verify_trial_eigensolver_budget(monkeypatch):
+    # one spectral pass per matrix and the orbit constants computed once:
+    # 76 eigh/eigvalsh calls per trial today, 88 when every dephasing time
+    # re-diagonalised M, 322 when every Petz tag re-diagonalised each M +- tY
+    calls = _count_eigensolver_calls(monkeypatch)
     _verify_trial(2, 2, 0, 7)
-    assert len(calls) <= 100
+    assert len(calls) <= 88
+
+
+def test_orbit_trace_eigensolver_budget(monkeypatch):
+    # M, Tr[M log M], the BKM form and the log bound are computed once per
+    # config, so each row costs one eigvalsh and one eigh: 137 calls for 65
+    # rows, config included, against 458 when every row rebuilt them
+    state = random_block_state(2, 2, 7)
+    calls = _count_eigensolver_calls(monkeypatch)
+    orbit_trace(OrbitConfig(state=state, gamma=1.5, t_max=2.0, steps=64))
+    assert len(calls) <= 140
 
 
 def test_verify_rejects_zero_trials(capsys):
@@ -159,6 +181,25 @@ def test_report_non_psd_file_exits_two(capsys, tmp_path):
 def test_report_missing_file_exits_two(capsys):
     code, _, _ = run(capsys, "report", "/nonexistent/state.json")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"dim_p": 1, "dim_q": 1, "matrix": ',
+        '{"dim_p": "x", "dim_q": 1, "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}',
+        '{"dim_p": 1, "dim_q": 1, "matrix": [[0.5, 0], [0, 0.5]]}',
+        '{"dim_p": 1, "dim_q": 1, "matrix": [["0.5", "0"], ["0", "0.5"]]}',
+    ],
+    ids=["not-json", "string-dim", "numbers-for-pairs", "string-entries"],
+)
+def test_report_malformed_file_exits_two(capsys, tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "report", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 # ------------------------------------------------------------------- orbit
@@ -251,3 +292,40 @@ def test_modulus_command(capsys):
     eps_q = 1e-6
     val = float(lines[-1].split(",")[1])
     assert abs(val / (0.5 * eps_q * math.log(0.9 / eps_q)) - 1.0) <= 0.15
+
+
+@pytest.mark.parametrize("tau", ["0", "1.5"])
+def test_modulus_bad_tau_exits_two_before_output(capsys, tau):
+    code, out, err = run(
+        capsys, "modulus", "--a-star", "0.9", "--tau", tau, "--eps", "1e-2,1e-4"
+    )
+    assert code == 2
+    assert out == ""
+    assert "tau" in err
+
+
+# ------------------------------------------------------- non-finite flags
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orbit", "STATE", "--gamma", "nan", "--t-max", "1", "--steps", "2"],
+        ["orbit", "STATE", "--gamma", "1", "--t-max", "inf", "--steps", "2"],
+        ["optimizer", "--a0", "nan", "--eps", "0.05", "--c", "0.02",
+         "--dp", "2", "--dq", "1"],
+        ["verify", "--trials", "1", "--tol", "nan"],
+        ["sharpness", "--q", "1e-2,nan"],
+    ],
+    ids=["orbit-gamma-nan", "orbit-t-max-inf", "optimizer-a0-nan", "verify-tol-nan",
+         "sharpness-q-nan"],
+)
+def test_non_finite_float_flag_exits_two(capsys, two_level_file, tmp_path, argv):
+    argv = [two_level_file if tok == "STATE" else tok for tok in argv]
+    if argv[0] == "orbit":
+        argv += ["--out", str(tmp_path / "orbit.csv")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "must be finite" in captured.err and "Traceback" not in captured.err

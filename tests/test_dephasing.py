@@ -68,6 +68,15 @@ def test_orbit_config_validation():
         OrbitConfig(state=s, gamma=1.0, t_max=-1.0, steps=2)
 
 
+@pytest.mark.parametrize("gamma, t_max", [
+    (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf),
+])
+def test_orbit_config_rejects_non_finite(gamma, t_max):
+    s = random_block_state(2, 2, 65)
+    with pytest.raises(DomainError):
+        OrbitConfig(state=s, gamma=gamma, t_max=t_max, steps=2)
+
+
 # -------------------------------------------------------- entropy production
 
 def test_production_zero_b():
@@ -96,6 +105,23 @@ def test_production_bound_scales_exponentially():
     p3 = entropy_production(cfg, 3.0)
     assert p3.bound == pytest.approx(p0.bound * math.exp(-6.0), rel=1e-12)
     assert p3.margin >= -1e-6 * (1.0 + p3.rate)
+
+
+def test_analytic_rate_matches_log_difference_formula():
+    # the reference keeps the Tr[Y log M] term, which is 0 in exact arithmetic
+    def logm(h):
+        w, v = np.linalg.eigh(h)
+        return (v * np.log(w)) @ v.conj().T
+
+    for s in random_states(10, (1, 2, 3), 111):
+        cfg = OrbitConfig(state=s, gamma=0.7, t_max=2.0, steps=2)
+        m, y = pinch(s), s.off_diagonal()
+        for t in (0.0, 0.4, 1.9):
+            alpha = math.exp(-cfg.gamma * t)
+            diff = logm(m + alpha * y) - logm(m)
+            expected = cfg.gamma * alpha * float(np.trace(y @ diff).real)
+            got = analytic_rate(cfg, t)
+            assert got == pytest.approx(expected, rel=1e-10, abs=1e-14)
 
 
 def test_analytic_rate_matches_fd():

@@ -203,6 +203,35 @@ def test_data_processing_under_pinching():
         assert full >= pinched - 1e-9
 
 
+# ----------------------------------------------------- coherence entropy
+
+def _mp_xlogx_sum(h):
+    """Tr[H log H] at 50 digits for a Hermitian double matrix H (0 log 0 = 0)."""
+    from mpmath import mp
+
+    w = mp.eighe(mp.matrix(np.asarray(h).tolist()), eigvals_only=True)
+    return sum((lam * mp.log(lam) for lam in w if lam > 0), mp.mpf(0))
+
+
+@pytest.mark.parametrize("ensemble", ["ginibre", "boundary"])
+def test_coherence_entropy_matches_mpmath(ensemble):
+    from mpmath import workdps
+
+    with workdps(50):
+        for dp in range(1, 5):
+            for dq in range(1, 5):
+                kwargs = {}
+                if ensemble == "boundary":
+                    kwargs = {"a0": 0.6 / dp, "eps_q": 0.2 / dp}
+                s = random_block_state(dp, dq, 7 * dp + dq, ensemble, **kwargs)
+                exact = (
+                    _mp_xlogx_sum(s.to_matrix())
+                    - _mp_xlogx_sum(s.a)
+                    - _mp_xlogx_sum(s.c)
+                )
+                assert abs(coherence_entropy(s) - float(exact)) <= 1e-14, (dp, dq)
+
+
 # ------------------------------------------------- Pythagorean identity
 
 def test_pythagorean_sigma_equals_pinch():
@@ -315,6 +344,23 @@ def test_state_json_rejects_non_psd(tmp_path):
 def test_state_json_rejects_wrong_shape(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"dim_p": 2, "dim_q": 1, "matrix": [[[1, 0]]]}')
+    with pytest.raises(ValidationError):
+        read_state_json(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"dim_p": 1, "dim_q": 1, "matrix": ',
+        '{"dim_p": "x", "dim_q": 1, "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}',
+        '{"dim_p": 1, "dim_q": 1, "matrix": [[0.5, 0], [0, 0.5]]}',
+        '{"dim_p": 1, "dim_q": 1, "matrix": [["0.5", "0"], ["0", "0.5"]]}',
+    ],
+    ids=["not-json", "string-dim", "numbers-for-pairs", "string-entries"],
+)
+def test_state_json_rejects_malformed_file(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
     with pytest.raises(ValidationError):
         read_state_json(path)
 

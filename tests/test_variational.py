@@ -30,6 +30,7 @@ from cebound import (
     variational_check,
 )
 from cebound.linalg import _entropy_terms, block_decompose, pinch
+from cebound.variational import _merge_radii
 
 from conftest import random_states
 
@@ -183,6 +184,54 @@ def test_merge_random_sweep():
         res = merge_channel(spec)
         assert res.left_entropy >= res.right_entropy - 1e-9
         assert res.channel.completeness_defect() <= 1e-12
+
+
+def _bisected_radii(avals, xvals, a_target, x_total):
+    """Reference: bisect sum a_j ((1-t) b_j + t)^2 = A over t in [0, 1]."""
+    base = [math.sqrt(x / x_total) if x_total > 0.0 else 0.0 for x in xvals]
+    lo, hi = 0.0, 1.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if sum(a * ((1 - mid) * b + mid) ** 2 for a, b in zip(avals, base)) <= a_target:
+            lo = mid
+        else:
+            hi = mid
+    t = 0.5 * (lo + hi)
+    return [(1 - t) * b + t for b in base]
+
+
+def _merge_radii_specs():
+    yield MergeSpec(blocks=((0.5, 0.04, 0.01),), eps_rem=0.0, a0=0.5)  # k = 1
+    yield MergeSpec(blocks=((0.4, 0.03, 0.0), (0.3, 0.02, 0.0)), eps_rem=0.0, a0=0.3)
+    yield MergeSpec(
+        blocks=((0.4, 0.03, 0.005), (0.35, 0.0, 0.0), (0.3, 0.02, 0.0)),
+        eps_rem=0.01,
+        a0=0.3,
+    )
+    rng = np.random.default_rng(203)
+    for _ in range(200):
+        k = int(rng.integers(1, 6))
+        a0 = rng.uniform(0.01, 0.2)
+        blocks = []
+        for _ in range(k):
+            a = a0 + rng.uniform(0.0, 0.3)
+            eps = rng.uniform(0.0, 0.05)
+            x = rng.uniform(0.0, 1.0) * a * eps * float(rng.integers(0, 2))
+            blocks.append((a, eps, x))
+        yield MergeSpec(blocks=tuple(blocks), eps_rem=0.0, a0=a0)
+
+
+def test_merge_radii_closed_form_matches_bisection():
+    for spec in _merge_radii_specs():
+        avals = [a for a, _, _ in spec.blocks]
+        xvals = [x for _, _, x in spec.blocks]
+        a_m, _, x_m = spec.merged()
+        radii = _merge_radii(avals, xvals, a_m, x_m)
+        reference = _bisected_radii(avals, xvals, a_m, x_m)
+        for r, ref in zip(radii, reference):
+            assert r == pytest.approx(ref, rel=1e-14)
+        total = sum(a * r * r for a, r in zip(avals, radii))
+        assert total == pytest.approx(a_m, rel=1e-14)
 
 
 def test_merge_spec_validation():
