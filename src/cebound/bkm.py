@@ -76,13 +76,18 @@ def _form(sq, lam, mu, tag: str = "bkm"):
     return np.sum(sq * _kernel(lam, mu, tag), axis=(-2, -1))
 
 
-def _eigh_positive(h, name: str):
-    h = validate_hermitian(h, name)
-    w, v = np.linalg.eigh(h)
+def _check_positive(w, name: str) -> None:
+    """Raise unless the ascending spectrum ``w`` clears POSITIVITY_FLOOR."""
     if w[0] <= POSITIVITY_FLOOR:
         raise PositivityError(
             f"{name} must be positive definite, lambda_min = {w[0]:.3e}"
         )
+
+
+def _eigh_positive(h, name: str):
+    h = validate_hermitian(h, name)
+    w, v = np.linalg.eigh(h)
+    _check_positive(w, name)
     return w, v
 
 
@@ -94,12 +99,15 @@ def bkm_apply(a, c, b) -> np.ndarray:
     return va @ (bt * _kernel(wa, wc)) @ vc.conj().T
 
 
-def bkm_form(a, c, b) -> float:
-    """Tr[B* Omega^{-1}(B)] = sum_{ab} |B~_{ab}|^2 L(a_a, c_b) >= 0."""
-    wa, va = _eigh_positive(a, "A")
-    wc, vc = _eigh_positive(c, "C")
+def _spectral_bkm_form(wa, va, wc, vc, b) -> float:
+    """bkm_form from the eigenpairs (wa, va) of A and (wc, vc) of C."""
     bt = _rotate(va, np.asarray(b, dtype=complex), vc)
     return float(_form(np.abs(bt) ** 2, wa, wc))
+
+
+def bkm_form(a, c, b) -> float:
+    """Tr[B* Omega^{-1}(B)] = sum_{ab} |B~_{ab}|^2 L(a_a, c_b) >= 0."""
+    return _spectral_bkm_form(*_eigh_positive(a, "A"), *_eigh_positive(c, "C"), b)
 
 
 @dataclass(frozen=True)

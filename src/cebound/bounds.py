@@ -9,35 +9,56 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .bkm import bkm_form, log_mean_kernel
+from .bkm import _check_positive, _spectral_bkm_form, bkm_form, log_mean_kernel
 from .errors import DomainError, InfeasibleError, PositivityError
-from .linalg import BlockState, coherence_entropy, pinch, two_level_pure
+from .linalg import (
+    BlockState,
+    _coherence_entropy,
+    two_level_pure,
+    validate_hermitian,
+)
 from .twolevel import binary_entropy
 
 MARGIN_TOL = 1e-9
 REG_DELTA = 1e-10
 
 
-def _regularized(state: BlockState) -> BlockState:
-    d = state.dim
-    eye_scale = REG_DELTA / d
-    return BlockState(
-        dim_p=state.dim_p,
-        dim_q=state.dim_q,
-        a=(1.0 - REG_DELTA) * state.a + eye_scale * np.eye(state.dim_p),
-        b=(1.0 - REG_DELTA) * state.b,
-        c=(1.0 - REG_DELTA) * state.c + eye_scale * np.eye(state.dim_q),
-    )
+class _BlockSpectra(NamedTuple):
+    """Ascending eigenvalues and eigenvectors of the diagonal blocks A and C."""
+
+    wa: np.ndarray
+    va: np.ndarray
+    wc: np.ndarray
+    vc: np.ndarray
 
 
-def _blocks_positive(state: BlockState) -> bool:
-    return (
-        np.linalg.eigvalsh(state.a)[0] > 1e-12
-        and np.linalg.eigvalsh(state.c)[0] > 1e-12
-    )
+def _block_spectra(state: BlockState) -> _BlockSpectra:
+    """One validated eigendecomposition of each diagonal block."""
+    wa, va = np.linalg.eigh(validate_hermitian(state.a, "A"))
+    wc, vc = np.linalg.eigh(validate_hermitian(state.c, "C"))
+    return _BlockSpectra(wa, va, wc, vc)
+
+
+def _operator_bound(sp: _BlockSpectra, b, regularize: bool) -> tuple[float, bool]:
+    """The BKM form from the block spectra, and whether it was regularized.
+
+    (1-delta) A + (delta/d) I keeps the eigenvectors of A, so the regularized
+    spectra are the closed form (1-delta) w + delta/d.
+    """
+    if sp.wa[0] > 1e-12 and sp.wc[0] > 1e-12:
+        return _spectral_bkm_form(*sp, b), False
+    if not regularize:
+        raise PositivityError("operator_bound requires A > 0 and C > 0")
+    shift = REG_DELTA / (len(sp.wa) + len(sp.wc))
+    wa = (1.0 - REG_DELTA) * sp.wa + shift
+    wc = (1.0 - REG_DELTA) * sp.wc + shift
+    _check_positive(wa, "A")
+    _check_positive(wc, "C")
+    return _spectral_bkm_form(wa, sp.va, wc, sp.vc, (1.0 - REG_DELTA) * b), True
 
 
 def operator_bound(state: BlockState, regularize: bool = False) -> float:
@@ -46,22 +67,21 @@ def operator_bound(state: BlockState, regularize: bool = False) -> float:
     Singular A or C raises unless ``regularize`` is set, in which case the
     bound is computed on (1-delta) rho + (delta/d) I with delta = 1e-10.
     """
-    if not _blocks_positive(state):
-        if not regularize:
-            raise PositivityError("operator_bound requires A > 0 and C > 0")
-        state = _regularized(state)
-    return bkm_form(state.a, state.c, state.b)
+    return _operator_bound(_block_spectra(state), state.b, regularize)[0]
 
 
-def log_boundary_bound(state: BlockState) -> float | None:
-    """||B||_F^2 log(lambda_min(A)/Tr C), or None when the hypotheses
-    lambda_min(A) > 0, Tr C > 0, Tr C <= lambda_min(A)/2 fail."""
-    a0 = float(np.linalg.eigvalsh(state.a)[0])
+def _log_bound(a0: float, state: BlockState) -> float | None:
     eps_q = float(np.trace(state.c).real)
     if a0 <= 0.0 or eps_q <= 0.0 or eps_q > a0 / 2.0:
         return None
     frob_sq = float(np.sum(np.abs(state.b) ** 2))
     return frob_sq * math.log(a0 / eps_q)
+
+
+def log_boundary_bound(state: BlockState) -> float | None:
+    """||B||_F^2 log(lambda_min(A)/Tr C), or None when the hypotheses
+    lambda_min(A) > 0, Tr C > 0, Tr C <= lambda_min(A)/2 fail."""
+    return _log_bound(float(np.linalg.eigvalsh(state.a)[0]), state)
 
 
 def trace_norm(m) -> float:
@@ -74,23 +94,37 @@ def pinsker_bound(state: BlockState) -> float:
     return 2.0 * trace_norm(state.b) ** 2
 
 
-def fidelity(rho, sigma) -> float:
-    """Uhlmann fidelity F(rho, sigma) = Tr sqrt(sqrt(sigma) rho sqrt(sigma))."""
-    rho = np.asarray(rho, dtype=complex)
-    ws, vs = np.linalg.eigh(np.asarray(sigma, dtype=complex))
-    ws = np.clip(ws, 0.0, None)
-    sqrt_sigma = (vs * np.sqrt(ws)) @ vs.conj().T
-    inner = sqrt_sigma @ rho @ sqrt_sigma
+def _psd_sqrt(w, v) -> np.ndarray:
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+
+
+def _fidelity(rho, sqrt_sigma) -> float:
+    """Tr sqrt(sqrt(sigma) rho sqrt(sigma)), given sqrt(sigma)."""
+    inner = sqrt_sigma @ np.asarray(rho, dtype=complex) @ sqrt_sigma
     w = np.linalg.eigvalsh(inner)
     if w[0] < -1e-14:
         raise DomainError(f"fidelity inner matrix not PSD: lambda_min = {w[0]:.3e}")
     return float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
 
 
+def fidelity(rho, sigma) -> float:
+    """Uhlmann fidelity F(rho, sigma) = Tr sqrt(sqrt(sigma) rho sqrt(sigma))."""
+    return _fidelity(rho, _psd_sqrt(*np.linalg.eigh(np.asarray(sigma, dtype=complex))))
+
+
+def _fidelity_bound(sp: _BlockSpectra, rho: np.ndarray) -> float:
+    """-2 log F(rho, pinch(rho)), with sqrt(pinch(rho)) = sqrt(A) (+) sqrt(C)."""
+    dp = len(sp.wa)
+    sqrt_m = np.zeros_like(rho, dtype=complex)
+    sqrt_m[:dp, :dp] = _psd_sqrt(sp.wa, sp.va)
+    sqrt_m[dp:, dp:] = _psd_sqrt(sp.wc, sp.vc)
+    f = _fidelity(rho, sqrt_m)
+    return -2.0 * math.log(min(f, 1.0)) if f < 1.0 else 0.0
+
+
 def fidelity_bound(state: BlockState) -> float:
     """-2 log F(rho, pinch(rho))."""
-    f = fidelity(state.to_matrix(), pinch(state))
-    return -2.0 * math.log(min(f, 1.0)) if f < 1.0 else 0.0
+    return _fidelity_bound(_block_spectra(state), state.to_matrix())
 
 
 @dataclass
@@ -125,13 +159,20 @@ class BoundReport:
 
 
 def bound_report(state: BlockState, regularize: bool = False) -> BoundReport:
-    """Aggregate all lower bounds for one state, with margins entropy - bound."""
-    entropy = coherence_entropy(state)
-    used_reg = regularize and not _blocks_positive(state)
-    bkm = operator_bound(state, regularize=regularize)
-    log_b = log_boundary_bound(state)
-    pinsker = pinsker_bound(state)
-    fid = fidelity_bound(state)
+    """Aggregate all lower bounds for one state, with margins entropy - bound.
+
+    One eigendecomposition of each of A and C, one eigvalsh of rho and one
+    SVD of B serve every bound.
+    """
+    sp = _block_spectra(state)
+    rho = state.to_matrix()
+    entropy = _coherence_entropy(np.linalg.eigvalsh(rho), sp.wa, sp.wc)
+    bkm, used_reg = _operator_bound(sp, state.b, regularize)
+    a0 = float(sp.wa[0])
+    log_b = _log_bound(a0, state)
+    b1 = trace_norm(state.b)
+    pinsker = 2.0 * b1**2
+    fid = _fidelity_bound(sp, rho)
     margins = {
         "bkm": entropy - bkm,
         "pinsker": entropy - pinsker,
@@ -140,10 +181,8 @@ def bound_report(state: BlockState, regularize: bool = False) -> BoundReport:
     if log_b is not None:
         margins["log"] = entropy - log_b
         margins["log_vs_bkm"] = bkm - log_b
-    a0 = float(np.linalg.eigvalsh(state.a)[0])
     eps_q = float(np.trace(state.c).real)
     frob_sq = float(np.sum(np.abs(state.b) ** 2))
-    b1 = trace_norm(state.b)
     params = {
         "a0": a0,
         "eps_q": eps_q,
@@ -152,7 +191,7 @@ def bound_report(state: BlockState, regularize: bool = False) -> BoundReport:
         # Pinsker-domination diagnostic: log bound wins when the first
         # quantity exceeds the second (eps_q <= a0 e^{-2 rank B} suffices)
         "log_ratio": math.log(a0 / eps_q) if a0 > 0 and eps_q > 0 else None,
-        "pinsker_ratio": 2.0 * b1**2 / frob_sq if frob_sq > 0 else None,
+        "pinsker_ratio": pinsker / frob_sq if frob_sq > 0 else None,
     }
     return BoundReport(
         entropy=entropy,

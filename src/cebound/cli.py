@@ -165,7 +165,7 @@ def _cmd_optimizer(args) -> int:
         "c": args.c,
         "dp": args.dp,
         "dq": args.dq,
-        "a_star": 1.0 - args.eps - (args.dp - 1) * args.a0,
+        "a_star": result.a_star,
         "value": result.value,
         "state": {
             "dim_p": state.dim_p,

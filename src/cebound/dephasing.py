@@ -14,8 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bkm import _midpoint_inputs, bkm_form
-from .bounds import log_boundary_bound
+from .bkm import _midpoint_inputs
+from .bounds import _block_spectra, _log_bound, _operator_bound
 from .errors import DomainError
 from .linalg import BlockState, _xlogx_sum
 
@@ -27,7 +27,8 @@ class OrbitConfig:
     """A dephasing run: initial split state, rate gamma, horizon, grid size.
 
     M = pinch(rho) is constant along the orbit, so M, Y = rho - M, Tr[M log M],
-    the BKM form and the log-boundary bound are computed at most once per config.
+    and the BKM form and the log-boundary bound, from one eigendecomposition
+    each of A and C, are computed at most once per config.
     """
 
     state: BlockState
@@ -47,18 +48,21 @@ class OrbitConfig:
         object.__setattr__(self, "y", y)
 
     @cached_property
+    def _spectra(self):
+        return _block_spectra(self.state)
+
+    @cached_property
     def tr_m_log_m(self) -> float:
         """Tr[M log M]; Tr[Y log M] = 0 because log M is block diagonal."""
         return _xlogx_sum(np.linalg.eigvalsh(self.m))
 
     @cached_property
     def bkm(self) -> float:
-        s = self.state
-        return bkm_form(s.a, s.c, s.b)
+        return _operator_bound(self._spectra, self.state.b, regularize=False)[0]
 
     @cached_property
     def log_bound(self) -> float | None:
-        return log_boundary_bound(self.state)
+        return _log_bound(float(self._spectra.wa[0]), self.state)
 
 
 def orbit_state(cfg: OrbitConfig, t: float) -> np.ndarray:
@@ -73,18 +77,22 @@ def _entropy_at_alpha(cfg: OrbitConfig, alpha: float) -> float:
     return _xlogx_sum(np.linalg.eigvalsh(cfg.m + alpha * cfg.y)) - cfg.tr_m_log_m
 
 
+def _rate(cfg: OrbitConfig, alpha: float, w: np.ndarray, v: np.ndarray) -> float:
+    """Gamma alpha Tr[Y log rho], from the eigenpairs (w, v) of rho = M + alpha Y."""
+    # floor keeps log finite at the support boundary (pure-state orbit at t=0,
+    # where the true rate diverges to +inf)
+    w = np.clip(w, 1e-300, None)
+    masses = np.real(np.sum(v.conj() * (cfg.y @ v), axis=0))
+    return cfg.gamma * alpha * float(masses @ np.log(w))
+
+
 def analytic_rate(cfg: OrbitConfig, t: float) -> float:
     """-dD/dt = Gamma alpha Tr[Y log(M + alpha Y)], alpha = e^{-Gamma t}.
 
     The term -Tr[Y log M] of the derivative vanishes: log M is block diagonal.
     """
     alpha = math.exp(-cfg.gamma * t)
-    w, v = np.linalg.eigh(cfg.m + alpha * cfg.y)
-    # floor keeps log finite at the support boundary (pure-state orbit at t=0,
-    # where the true rate diverges to +inf)
-    w = np.clip(w, 1e-300, None)
-    masses = np.real(np.sum(v.conj() * (cfg.y @ v), axis=0))
-    return cfg.gamma * alpha * float(masses @ np.log(w))
+    return _rate(cfg, alpha, *np.linalg.eigh(cfg.m + alpha * cfg.y))
 
 
 def fd_rate(cfg: OrbitConfig, t: float) -> float:
@@ -123,7 +131,10 @@ def entropy_production(cfg: OrbitConfig, t: float) -> ProductionPoint:
     """
     if t < 0.0:
         raise DomainError(f"t must be nonnegative, got {t}")
-    rate = analytic_rate(cfg, t)
+    return _production(cfg, t, analytic_rate(cfg, t))
+
+
+def _production(cfg: OrbitConfig, t: float, rate: float) -> ProductionPoint:
     bound = _decay(cfg, t) * cfg.bkm
     return ProductionPoint(rate=rate, bound=bound, margin=rate - bound)
 
@@ -144,18 +155,22 @@ class OrbitRow(NamedTuple):
 
 
 def orbit_trace(cfg: OrbitConfig) -> list:
-    """Tabulate the orbit on the uniform grid t_k = k t_max / steps."""
+    """Tabulate the orbit on the uniform grid t_k = k t_max / steps.
+
+    One eigendecomposition of rho_t gives both the row's entropy and its rate.
+    """
     if cfg.steps < 2:
         raise DomainError("orbit_trace needs steps >= 2")
     rows = []
     for k in range(cfg.steps + 1):
         t = k * cfg.t_max / cfg.steps
-        d_val = _entropy_at_alpha(cfg, math.exp(-cfg.gamma * t))
-        point = entropy_production(cfg, t)
+        alpha = math.exp(-cfg.gamma * t)
+        w, v = np.linalg.eigh(cfg.m + alpha * cfg.y)
+        point = _production(cfg, t, _rate(cfg, alpha, w, v))
         rows.append(
             OrbitRow(
                 t=t,
-                entropy=d_val,
+                entropy=_xlogx_sum(w) - cfg.tr_m_log_m,
                 rate=point.rate,
                 bkm_bound=point.bound,
                 log_bound=log_enhanced_bound(cfg, t),

@@ -119,7 +119,11 @@ class BlockState:
 
 def block_decompose(rho, dim_p: int) -> BlockState:
     """Split a density matrix into its A, B, C blocks for a leading P of size dim_p."""
-    rho = validate_density(rho)
+    return _split(validate_density(rho), dim_p)
+
+
+def _split(rho: np.ndarray, dim_p: int) -> BlockState:
+    """The A, B, C blocks of an already validated density matrix."""
     d = rho.shape[0]
     if not 1 <= dim_p < d:
         raise DomainError(f"dim_p must be in [1, {d - 1}], got {dim_p}")
@@ -184,8 +188,13 @@ def coherence_entropy(state: BlockState) -> float:
     = Tr[A log A] + Tr[C log C].  The support of a PSD rho lies inside that of
     pinch(rho), so D is finite and needs no eigenvectors.
     """
-    xa, xc = (_xlogx_sum(np.linalg.eigvalsh(blk)) for blk in (state.a, state.c))
-    return _xlogx_sum(np.linalg.eigvalsh(state.to_matrix())) - (xa + xc)
+    w_rho, wa, wc = (np.linalg.eigvalsh(h) for h in (state.to_matrix(), state.a, state.c))
+    return _coherence_entropy(w_rho, wa, wc)
+
+
+def _coherence_entropy(w_rho, wa, wc) -> float:
+    """S(pinch(rho)) - S(rho) from the eigenvalues of rho, A and C."""
+    return _xlogx_sum(w_rho) - (_xlogx_sum(wa) + _xlogx_sum(wc))
 
 
 def pythagorean_residual(state: BlockState, sigma) -> float:
@@ -332,16 +341,21 @@ def read_state_json(path) -> BlockState:
         except ValueError as exc:
             raise ValidationError(f"state file is not valid JSON: {exc}") from exc
     try:
-        dim_p = int(payload["dim_p"])
-        dim_q = int(payload["dim_q"])
+        dim_p, dim_q = (_integer(payload[key], key) for key in ("dim_p", "dim_q"))
         rows = [[complex(re, im) for re, im in row] for row in payload["matrix"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed state file: {exc}") from exc
     d = dim_p + dim_q
     if len(rows) != d or any(len(row) != d for row in rows):
         raise ValidationError(
             f"matrix must be {d}x{d} for dim_p={dim_p}, dim_q={dim_q}"
         )
-    rho = np.array(rows)
-    validate_density(rho, "state file matrix")
-    return block_decompose(rho, dim_p)
+    rho = validate_density(np.array(rows), "state file matrix")
+    return _split(rho, dim_p)
+
+
+def _integer(value, key: str) -> int:
+    """A JSON integer, also when written as 2.0; bools, fractions and strings raise."""
+    if isinstance(value, bool) or int(value) != value:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)

@@ -326,6 +326,7 @@ def merge_channel(spec: MergeSpec) -> MergeResult:
 class OptimizerResult:
     state: BlockState
     value: float
+    a_star: float
 
 
 def _optimizer_hypotheses(a0: float, eps: float, c: float, d_p: int, d_q: int) -> float:
@@ -367,7 +368,7 @@ def optimizer(a0: float, eps: float, c: float, d_p: int, d_q: int) -> OptimizerR
     leakage eps, and coherence c.  Its value is Phi(a_star, eps, c)."""
     a_star = _optimizer_hypotheses(a0, eps, c, d_p, d_q)
     state = equality_state(a0, eps, c, d_p, d_q, phase=0.0)
-    return OptimizerResult(state=state, value=phi(a_star, eps, c))
+    return OptimizerResult(state=state, value=phi(a_star, eps, c), a_star=a_star)
 
 
 def sample_feasible(
@@ -468,13 +469,23 @@ def pipeline_values(state: BlockState, a0: float) -> tuple:
 
 
 def modulus_curve(a_star: float, tau: float, eps_grid) -> list:
-    """Rows (eps_q, Phi(a_star, eps_q, tau a_star eps_q), Phi per unit coherence)."""
+    """Rows (eps_q, Phi(a_star, eps_q, tau a_star eps_q), Phi per unit coherence).
+
+    The coherence c = tau a_star eps_q must be positive, so a_star and every
+    eps_q must be: at c = 0 the per-coherence column would be 0/0.
+    """
     if not 0.0 < tau <= 1.0:
         raise DomainError(f"tau must lie in (0, 1], got {tau}")
+    if not a_star > 0.0:
+        raise DomainError(f"a_star must be positive, got {a_star}")
     rows = []
     for eps_q in eps_grid:
         eps_q = float(eps_q)
         c = tau * a_star * eps_q
+        if not (eps_q > 0.0 and c > 0.0):
+            raise DomainError(
+                f"eps_q must be positive with tau*a_star*eps_q > 0, got eps_q = {eps_q}"
+            )
         val = phi(a_star, eps_q, c)
-        rows.append((eps_q, val, val / c if c > 0.0 else float("nan")))
+        rows.append((eps_q, val, val / c))
     return rows

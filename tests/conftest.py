@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,24 @@ def random_states(count, dims, seed, ensemble="ginibre", **kwargs):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """Counter of np.linalg eigh, eigvalsh and svd calls by name, from now on.
+
+    ``clear()`` it after building inputs that should not count.
+    """
+    calls = Counter()
+    for name in ("eigh", "eigvalsh", "svd"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -162,6 +162,38 @@ def test_fidelity_bound_margin_random():
         assert coherence_entropy(s) - fidelity_bound(s) >= -1e-9
 
 
+def _mp_fidelity_bound(s):
+    """-2 log F(rho, pinch(rho)) at the working mpmath precision."""
+    from mpmath import mp
+
+    def psd_sqrt(h):
+        w, v = mp.eighe(mp.matrix(np.asarray(h).tolist()))
+        return v * mp.diag([mp.sqrt(max(lam, 0)) for lam in w]) * v.H
+
+    root = psd_sqrt(pinch(s))
+    inner = root * mp.matrix(s.to_matrix().tolist()) * root
+    f = sum(mp.sqrt(max(lam, 0)) for lam in mp.eighe(inner, eigvals_only=True))
+    return -2 * mp.log(f) if f < 1 else mp.mpf(0)
+
+
+# A boundary state sits on the PSD edge: rho has an eigenvalue of order
+# +-1e-17, and the square root the fidelity takes of it is of order 3e-9.
+# That conditioning, not the method, sets the boundary tolerance.
+@pytest.mark.parametrize("ensemble, tol", [("ginibre", 1e-13), ("boundary", 1e-8)])
+def test_fidelity_bound_matches_mpmath(ensemble, tol):
+    from mpmath import workdps
+
+    with workdps(50):
+        for dp in range(1, 5):
+            for dq in range(1, 5):
+                kwargs = {}
+                if ensemble == "boundary":
+                    kwargs = {"a0": 0.6 / dp, "eps_q": 0.2 / dp}
+                s = random_block_state(dp, dq, 7 * dp + dq, ensemble, **kwargs)
+                exact = float(_mp_fidelity_bound(s))
+                assert abs(fidelity_bound(s) - exact) <= tol, (dp, dq)
+
+
 # ------------------------------------------------------------- bound report
 
 def test_report_block_diagonal_all_zero():

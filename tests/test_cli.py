@@ -3,13 +3,14 @@
 import json
 import math
 
-import numpy as np
 import pytest
 
 from cebound import (
     OrbitConfig,
+    bound_report,
     orbit_trace,
     random_block_state,
+    read_state_json,
     two_level_pure,
     write_state_json,
 )
@@ -76,36 +77,38 @@ def test_verify_output_ignores_cebound_threads(capsys, monkeypatch):
     assert unset == pinned
 
 
-def _count_eigensolver_calls(monkeypatch):
-    calls = []
-    for name in ("eigh", "eigvalsh"):
-        original = getattr(np.linalg, name)
-
-        def counted(*args, _original=original, **kwargs):
-            calls.append(1)
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return calls
-
-
-def test_verify_trial_eigensolver_budget(monkeypatch):
-    # one spectral pass per matrix and the orbit constants computed once:
-    # 76 eigh/eigvalsh calls per trial today, 88 when every dephasing time
-    # re-diagonalised M, 322 when every Petz tag re-diagonalised each M +- tY
-    calls = _count_eigensolver_calls(monkeypatch)
+def test_verify_trial_eigensolver_budget(lapack_calls):
+    # one spectral pass per matrix: 62 eigh/eigvalsh calls per trial today, 76
+    # when bound_report re-diagonalised A and C per bound, 88 when every
+    # dephasing time re-diagonalised M, 322 when every Petz tag re-diagonalised
+    # each M +- tY
     _verify_trial(2, 2, 0, 7)
-    assert len(calls) <= 88
+    assert lapack_calls["eigh"] + lapack_calls["eigvalsh"] <= 62
+    assert lapack_calls["svd"] <= 5
 
 
-def test_orbit_trace_eigensolver_budget(monkeypatch):
-    # M, Tr[M log M], the BKM form and the log bound are computed once per
-    # config, so each row costs one eigvalsh and one eigh: 137 calls for 65
-    # rows, config included, against 458 when every row rebuilt them
+def test_orbit_trace_eigensolver_budget(lapack_calls):
+    # one eigh per row gives both the entropy and the rate, so 65 rows cost 65
+    # calls, plus 6 for the config (3 to check M and M +- Y, eigh of A and C,
+    # Tr[M log M]): 71 calls against 137 with an eigvalsh and an eigh per row
     state = random_block_state(2, 2, 7)
-    calls = _count_eigensolver_calls(monkeypatch)
+    lapack_calls.clear()
     orbit_trace(OrbitConfig(state=state, gamma=1.5, t_max=2.0, steps=64))
-    assert len(calls) <= 140
+    assert lapack_calls["eigh"] + lapack_calls["eigvalsh"] <= 71
+
+
+def test_report_path_lapack_budget(lapack_calls, tmp_path):
+    # the state file is validated once (1 eigvalsh, was 2); the report takes
+    # one eigh of A and of C, one eigvalsh of rho and of the fidelity's inner
+    # matrix, and one SVD of B: 5 calls, against 13
+    path = tmp_path / "state.json"
+    write_state_json(path, random_block_state(3, 2, 7, "boundary", a0=0.2, eps_q=0.05))
+    lapack_calls.clear()
+    state = read_state_json(path)
+    assert sum(lapack_calls.values()) == 1
+    lapack_calls.clear()
+    bound_report(state)
+    assert sum(lapack_calls.values()) <= 5
 
 
 def test_verify_rejects_zero_trials(capsys):
@@ -190,8 +193,11 @@ def test_report_missing_file_exits_two(capsys):
         '{"dim_p": "x", "dim_q": 1, "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}',
         '{"dim_p": 1, "dim_q": 1, "matrix": [[0.5, 0], [0, 0.5]]}',
         '{"dim_p": 1, "dim_q": 1, "matrix": [["0.5", "0"], ["0", "0.5"]]}',
+        '{"dim_p": 1.7, "dim_q": 1.6, "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}',
+        '{"dim_p": true, "dim_q": 1, "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}',
     ],
-    ids=["not-json", "string-dim", "numbers-for-pairs", "string-entries"],
+    ids=["not-json", "string-dim", "numbers-for-pairs", "string-entries",
+         "fractional-dim", "bool-dim"],
 )
 def test_report_malformed_file_exits_two(capsys, tmp_path, text):
     path = tmp_path / "bad.json"
@@ -302,6 +308,21 @@ def test_modulus_bad_tau_exits_two_before_output(capsys, tau):
     assert code == 2
     assert out == ""
     assert "tau" in err
+
+
+@pytest.mark.parametrize(
+    "a_star, eps, word",
+    [("0", "1e-2,1e-4", "a_star"), ("0.9", "0,0.01", "eps_q")],
+    ids=["a-star-zero", "eps-zero"],
+)
+def test_modulus_zero_coherence_exits_two_before_output(capsys, a_star, eps, word):
+    # c = tau a_star eps_q = 0 made the per-coherence column a silent nan
+    code, out, err = run(
+        capsys, "modulus", "--a-star", a_star, "--tau", "0.5", "--eps", eps
+    )
+    assert code == 2
+    assert out == ""
+    assert word in err
 
 
 # ------------------------------------------------------- non-finite flags

@@ -168,6 +168,21 @@ def test_orbit_trace_three_rows():
     assert rows[0].t == 0.0
 
 
+@pytest.mark.parametrize("ensemble", ["ginibre", "boundary"])
+def test_orbit_trace_entropy_matches_coherence_entropy(ensemble):
+    # the row's entropy comes from the eigh that also gives its rate;
+    # coherence_entropy of the scaled state is an independent eigvalsh path
+    from cebound.linalg import coherence_entropy
+
+    kwargs = {"a0": 0.15, "eps_q": 0.05} if ensemble == "boundary" else {}
+    for s in random_states(6, (1, 2, 4), 830, ensemble, **kwargs):
+        cfg = OrbitConfig(state=s, gamma=1.5, t_max=2.0, steps=16)
+        for row in orbit_trace(cfg):
+            alpha = math.exp(-cfg.gamma * row.t)
+            scaled = BlockState(s.dim_p, s.dim_q, a=s.a, b=alpha * s.b, c=s.c)
+            assert abs(row.entropy - coherence_entropy(scaled)) <= 1e-14
+
+
 def test_orbit_trace_monotone_decreasing():
     s = mixed_two_level()
     cfg = OrbitConfig(state=s, gamma=1.0, t_max=5.0, steps=100)

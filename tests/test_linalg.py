@@ -355,8 +355,11 @@ def test_state_json_rejects_wrong_shape(tmp_path):
         '{"dim_p": "x", "dim_q": 1, "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}',
         '{"dim_p": 1, "dim_q": 1, "matrix": [[0.5, 0], [0, 0.5]]}',
         '{"dim_p": 1, "dim_q": 1, "matrix": [["0.5", "0"], ["0", "0.5"]]}',
+        '{"dim_p": 1.7, "dim_q": 1.6, "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}',
+        '{"dim_p": true, "dim_q": 1, "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}',
     ],
-    ids=["not-json", "string-dim", "numbers-for-pairs", "string-entries"],
+    ids=["not-json", "string-dim", "numbers-for-pairs", "string-entries",
+         "fractional-dim", "bool-dim"],
 )
 def test_state_json_rejects_malformed_file(tmp_path, text):
     path = tmp_path / "bad.json"

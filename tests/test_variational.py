@@ -265,6 +265,7 @@ def test_optimizer_reference_point():
 def test_optimizer_boundary_coherence():
     a_star = 1.0 - 0.05 - 0.1
     res = optimizer(0.1, 0.05, a_star * 0.05, 2, 2)
+    assert res.a_star == a_star
     assert math.isfinite(res.value)
     active = np.array(
         [
