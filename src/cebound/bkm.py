@@ -77,10 +77,12 @@ def _form(sq, lam, mu, tag: str = "bkm"):
 
 
 def _check_positive(w, name: str) -> None:
-    """Raise unless the ascending spectrum ``w`` clears POSITIVITY_FLOOR."""
-    if w[0] <= POSITIVITY_FLOOR:
+    """Raise unless the ascending spectrum ``w`` clears POSITIVITY_FLOOR, for
+    every member when ``w`` carries leading stack axes."""
+    low = np.min(w[..., 0])
+    if low <= POSITIVITY_FLOOR:
         raise PositivityError(
-            f"{name} must be positive definite, lambda_min = {w[0]:.3e}"
+            f"{name} must be positive definite, lambda_min = {low:.3e}"
         )
 
 
@@ -99,15 +101,18 @@ def bkm_apply(a, c, b) -> np.ndarray:
     return va @ (bt * _kernel(wa, wc)) @ vc.conj().T
 
 
-def _spectral_bkm_form(wa, va, wc, vc, b) -> float:
-    """bkm_form from the eigenpairs (wa, va) of A and (wc, vc) of C."""
+def _spectral_bkm_form(wa, va, wc, vc, b) -> np.ndarray:
+    """bkm_form from the eigenpairs (wa, va) of A and (wc, vc) of C, over any
+    leading stack axes."""
     bt = _rotate(va, np.asarray(b, dtype=complex), vc)
-    return float(_form(np.abs(bt) ** 2, wa, wc))
+    return _form(np.abs(bt) ** 2, wa, wc)
 
 
 def bkm_form(a, c, b) -> float:
     """Tr[B* Omega^{-1}(B)] = sum_{ab} |B~_{ab}|^2 L(a_a, c_b) >= 0."""
-    return _spectral_bkm_form(*_eigh_positive(a, "A"), *_eigh_positive(c, "C"), b)
+    return float(
+        _spectral_bkm_form(*_eigh_positive(a, "A"), *_eigh_positive(c, "C"), b)
+    )
 
 
 @dataclass(frozen=True)
@@ -196,15 +201,24 @@ def bkm_hessian(n, y) -> float:
 
 
 def _midpoint_inputs(state: BlockState):
+    """M = pinch(rho) and Y = rho - M, checked by ``_check_midpoint``."""
     m = pinch(state)
     y = state.off_diagonal()
-    wm = np.linalg.eigvalsh(m)
-    if wm[0] <= POSITIVITY_FLOOR:
-        raise PositivityError("pinched state M must be positive definite")
-    for sign in (+1.0, -1.0):
-        if np.linalg.eigvalsh(m + sign * y)[0] < -1e-12:
-            raise DomainError("M +- Y must be positive semidefinite")
+    _check_midpoint(np.linalg.eigvalsh(m)[0], np.linalg.eigvalsh(m + y)[0])
     return m, y
+
+
+def _check_midpoint(m_min, rho_min) -> None:
+    """Raise unless M clears POSITIVITY_FLOOR and M +- Y is positive semidefinite,
+    given lambda_min of M and of M + Y = rho (arrays over a stack, or scalars).
+
+    M - Y = U (M + Y) U* with U = I (+) -I, so it has the spectrum of M + Y
+    and one lambda_min serves both signs.
+    """
+    if np.any(m_min <= POSITIVITY_FLOOR):
+        raise PositivityError("pinched state M must be positive definite")
+    if np.any(rho_min < -1e-12):
+        raise DomainError("M +- Y must be positive semidefinite")
 
 
 SYMMETRY_TOL = 1e-9
@@ -235,36 +249,43 @@ def midpoint_margins(state: BlockState, t_grid, tags) -> dict:
     SYMMETRY_TOL.
     """
     m, y = _midpoint_inputs(state)
-    t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(t_grid < 0.0) or np.any(t_grid >= 1.0):
-        raise DomainError("every t must lie in [0, 1)")
     # Y is exactly Hermitian and vanishes on the diagonal blocks, so each
     # M +- tY has the Hermitian defect of M and at least its scale.
     m = validate_hermitian(m, "M")
     y = validate_hermitian(y, "Y")
+    return _midpoint_margins(m, y, t_grid, tags)
+
+
+def _midpoint_margins(m, y, t_grid, tags) -> dict:
+    """The body of ``midpoint_margins`` on M and Y with any leading stack axes;
+    each margin array gains the t axis last."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    if np.any(t_grid < 0.0) or np.any(t_grid >= 1.0):
+        raise DomainError("every t must lie in [0, 1)")
     shifts = np.concatenate(([0.0], t_grid, -t_grid))
-    w, v = np.linalg.eigh(m + shifts[:, None, None] * y)
-    low = w[:, 0] <= POSITIVITY_FLOOR
+    y = y[..., None, :, :]
+    w, v = np.linalg.eigh(m[..., None, :, :] + shifts[:, None, None] * y)
+    low = w[..., 0] <= POSITIVITY_FLOOR
     if np.any(low):
-        k = int(np.argmax(low))
+        k = np.unravel_index(np.argmax(low), low.shape)
         raise PositivityError(
-            f"M + tY must be positive definite at t = {shifts[k]}, "
-            f"lambda_min = {w[k, 0]:.3e}"
+            f"M + tY must be positive definite at t = {shifts[k[-1]]}, "
+            f"lambda_min = {w[k][0]:.3e}"
         )
     sq = np.abs(_rotate(v, y, v)) ** 2
     n_t = len(t_grid)
     out = {}
     for tag in tags:
         vals = _form(sq, w, w, tag)
-        plus, minus = vals[1 : n_t + 1], vals[n_t + 1 :]
+        plus, minus = vals[..., 1 : n_t + 1], vals[..., n_t + 1 :]
         gap = np.abs(plus - minus)
         if np.any(gap > SYMMETRY_TOL):
-            i = int(np.argmax(gap))
+            k = np.unravel_index(np.argmax(gap), gap.shape)
             raise NumericError(
-                f"midpoint symmetry violated at t={t_grid[i]} for tag {tag!r}: "
-                f"|g+ - g-| = {gap[i]:.3e}"
+                f"midpoint symmetry violated at t={t_grid[k[-1]]} for tag {tag!r}: "
+                f"|g+ - g-| = {gap[k]:.3e}"
             )
-        out[tag] = plus - vals[0]
+        out[tag] = plus - vals[..., :1]
     return out
 
 

@@ -17,6 +17,8 @@ from .bkm import _check_positive, _spectral_bkm_form, bkm_form, log_mean_kernel
 from .errors import DomainError, InfeasibleError, PositivityError
 from .linalg import (
     BlockState,
+    _adjoint,
+    _block_diag,
     _coherence_entropy,
     two_level_pure,
     validate_hermitian,
@@ -28,7 +30,8 @@ REG_DELTA = 1e-10
 
 
 class _BlockSpectra(NamedTuple):
-    """Ascending eigenvalues and eigenvectors of the diagonal blocks A and C."""
+    """Ascending eigenvalues and eigenvectors of the diagonal blocks A and C,
+    with the leading stack axes of the blocks, if any."""
 
     wa: np.ndarray
     va: np.ndarray
@@ -43,17 +46,18 @@ def _block_spectra(state: BlockState) -> _BlockSpectra:
     return _BlockSpectra(wa, va, wc, vc)
 
 
-def _operator_bound(sp: _BlockSpectra, b, regularize: bool) -> tuple[float, bool]:
+def _operator_bound(sp: _BlockSpectra, b, regularize: bool) -> tuple[np.ndarray, bool]:
     """The BKM form from the block spectra, and whether it was regularized.
 
     (1-delta) A + (delta/d) I keeps the eigenvectors of A, so the regularized
-    spectra are the closed form (1-delta) w + delta/d.
+    spectra are the closed form (1-delta) w + delta/d.  Over a stack, every
+    member is regularized when one needs it; only single states ask for it.
     """
-    if sp.wa[0] > 1e-12 and sp.wc[0] > 1e-12:
+    if np.all(sp.wa[..., 0] > 1e-12) and np.all(sp.wc[..., 0] > 1e-12):
         return _spectral_bkm_form(*sp, b), False
     if not regularize:
         raise PositivityError("operator_bound requires A > 0 and C > 0")
-    shift = REG_DELTA / (len(sp.wa) + len(sp.wc))
+    shift = REG_DELTA / (sp.wa.shape[-1] + sp.wc.shape[-1])
     wa = (1.0 - REG_DELTA) * sp.wa + shift
     wc = (1.0 - REG_DELTA) * sp.wc + shift
     _check_positive(wa, "A")
@@ -67,21 +71,28 @@ def operator_bound(state: BlockState, regularize: bool = False) -> float:
     Singular A or C raises unless ``regularize`` is set, in which case the
     bound is computed on (1-delta) rho + (delta/d) I with delta = 1e-10.
     """
-    return _operator_bound(_block_spectra(state), state.b, regularize)[0]
+    return float(_operator_bound(_block_spectra(state), state.b, regularize)[0])
 
 
-def _log_bound(a0: float, state: BlockState) -> float | None:
-    eps_q = float(np.trace(state.c).real)
-    if a0 <= 0.0 or eps_q <= 0.0 or eps_q > a0 / 2.0:
-        return None
-    frob_sq = float(np.sum(np.abs(state.b) ** 2))
-    return frob_sq * math.log(a0 / eps_q)
+def _log_bound(a0, state: BlockState) -> np.ndarray:
+    """||B||_F^2 log(a0/Tr C) over any leading stack axes; NaN where the
+    hypotheses a0 > 0, Tr C > 0, Tr C <= a0/2 fail."""
+    eps_q = np.trace(state.c, axis1=-2, axis2=-1).real
+    frob_sq = np.sum(np.abs(state.b) ** 2, axis=(-2, -1))
+    applies = (a0 > 0.0) & (eps_q > 0.0) & (eps_q <= a0 / 2.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # masked below
+        return np.where(applies, frob_sq * np.log(a0 / eps_q), np.nan)
+
+
+def _optional(value) -> float | None:
+    """A one-state ``_log_bound`` as a float, or None where it does not apply."""
+    return None if np.isnan(value) else float(value)
 
 
 def log_boundary_bound(state: BlockState) -> float | None:
     """||B||_F^2 log(lambda_min(A)/Tr C), or None when the hypotheses
     lambda_min(A) > 0, Tr C > 0, Tr C <= lambda_min(A)/2 fail."""
-    return _log_bound(float(np.linalg.eigvalsh(state.a)[0]), state)
+    return _optional(_log_bound(np.linalg.eigvalsh(state.a)[0], state))
 
 
 def trace_norm(m) -> float:
@@ -89,42 +100,83 @@ def trace_norm(m) -> float:
     return float(np.sum(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)))
 
 
+def _pinsker(svals) -> np.ndarray:
+    """2||B||_1^2 from the singular values of B, over any leading stack axes."""
+    return 2.0 * np.sum(svals, axis=-1) ** 2
+
+
 def pinsker_bound(state: BlockState) -> float:
     """Pinsker applied to sigma = pinch(rho): D >= (1/2)||rho - Pi rho||_1^2 = 2||B||_1^2."""
-    return 2.0 * trace_norm(state.b) ** 2
+    return float(_pinsker(np.linalg.svd(state.b, compute_uv=False)))
 
 
 def _psd_sqrt(w, v) -> np.ndarray:
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ _adjoint(v)
 
 
-def _fidelity(rho, sqrt_sigma) -> float:
-    """Tr sqrt(sqrt(sigma) rho sqrt(sigma)), given sqrt(sigma)."""
-    inner = sqrt_sigma @ np.asarray(rho, dtype=complex) @ sqrt_sigma
-    w = np.linalg.eigvalsh(inner)
-    if w[0] < -1e-14:
-        raise DomainError(f"fidelity inner matrix not PSD: lambda_min = {w[0]:.3e}")
-    return float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
+def _fidelity(rho, sqrt_sigma) -> np.ndarray:
+    """Tr sqrt(sqrt(sigma) rho sqrt(sigma)), given sqrt(sigma), over any leading
+    stack axes."""
+    w = np.linalg.eigvalsh(sqrt_sigma @ rho @ sqrt_sigma)
+    low = np.min(w[..., 0])
+    if low < -1e-14:
+        raise DomainError(f"fidelity inner matrix not PSD: lambda_min = {low:.3e}")
+    return np.sum(np.sqrt(np.clip(w, 0.0, None)), axis=-1)
 
 
 def fidelity(rho, sigma) -> float:
     """Uhlmann fidelity F(rho, sigma) = Tr sqrt(sqrt(sigma) rho sqrt(sigma))."""
-    return _fidelity(rho, _psd_sqrt(*np.linalg.eigh(np.asarray(sigma, dtype=complex))))
+    sqrt_sigma = _psd_sqrt(*np.linalg.eigh(np.asarray(sigma, dtype=complex)))
+    return float(_fidelity(np.asarray(rho, dtype=complex), sqrt_sigma))
 
 
-def _fidelity_bound(sp: _BlockSpectra, rho: np.ndarray) -> float:
+def _fidelity_bound(sp: _BlockSpectra, rho: np.ndarray) -> np.ndarray:
     """-2 log F(rho, pinch(rho)), with sqrt(pinch(rho)) = sqrt(A) (+) sqrt(C)."""
-    dp = len(sp.wa)
-    sqrt_m = np.zeros_like(rho, dtype=complex)
-    sqrt_m[:dp, :dp] = _psd_sqrt(sp.wa, sp.va)
-    sqrt_m[dp:, dp:] = _psd_sqrt(sp.wc, sp.vc)
+    sqrt_m = _block_diag(_psd_sqrt(sp.wa, sp.va), _psd_sqrt(sp.wc, sp.vc))
     f = _fidelity(rho, sqrt_m)
-    return -2.0 * math.log(min(f, 1.0)) if f < 1.0 else 0.0
+    return np.where(f < 1.0, -2.0 * np.log(np.minimum(f, 1.0)), 0.0)
 
 
 def fidelity_bound(state: BlockState) -> float:
     """-2 log F(rho, pinch(rho))."""
-    return _fidelity_bound(_block_spectra(state), state.to_matrix())
+    return float(_fidelity_bound(_block_spectra(state), state.to_matrix()))
+
+
+class _Bounds(NamedTuple):
+    """The lower bounds of ``bound_report``, over any leading stack axes.
+
+    ``log`` is NaN where the log-boundary hypotheses fail.
+    """
+
+    entropy: np.ndarray
+    bkm: np.ndarray
+    log: np.ndarray
+    pinsker: np.ndarray
+    fidelity: np.ndarray
+
+    def margins(self) -> dict:
+        """entropy - bound for each bound, and log_vs_bkm = bkm - log."""
+        return {
+            "bkm": self.entropy - self.bkm,
+            "pinsker": self.entropy - self.pinsker,
+            "fidelity": self.entropy - self.fidelity,
+            "log": self.entropy - self.log,
+            "log_vs_bkm": self.bkm - self.log,
+        }
+
+
+def _bounds(state, sp, rho, w_rho, svals, regularize=False) -> tuple[_Bounds, bool]:
+    """Every bound from the spectra of A, C and rho and the singular values of B,
+    and whether the BKM form was regularized."""
+    bkm, used_reg = _operator_bound(sp, state.b, regularize)
+    bounds = _Bounds(
+        entropy=_coherence_entropy(w_rho, sp.wa, sp.wc),
+        bkm=bkm,
+        log=_log_bound(sp.wa[..., 0], state),
+        pinsker=_pinsker(svals),
+        fidelity=_fidelity_bound(sp, rho),
+    )
+    return bounds, used_reg
 
 
 @dataclass
@@ -166,39 +218,36 @@ def bound_report(state: BlockState, regularize: bool = False) -> BoundReport:
     """
     sp = _block_spectra(state)
     rho = state.to_matrix()
-    entropy = _coherence_entropy(np.linalg.eigvalsh(rho), sp.wa, sp.wc)
-    bkm, used_reg = _operator_bound(sp, state.b, regularize)
-    a0 = float(sp.wa[0])
-    log_b = _log_bound(a0, state)
-    b1 = trace_norm(state.b)
-    pinsker = 2.0 * b1**2
-    fid = _fidelity_bound(sp, rho)
+    svals = np.linalg.svd(state.b, compute_uv=False)
+    bounds, used_reg = _bounds(
+        state, sp, rho, np.linalg.eigvalsh(rho), svals, regularize
+    )
+    log_b = _optional(bounds.log)
     margins = {
-        "bkm": entropy - bkm,
-        "pinsker": entropy - pinsker,
-        "fidelity": entropy - fid,
+        name: float(value)
+        for name, value in bounds.margins().items()
+        if log_b is not None or not name.startswith("log")
     }
-    if log_b is not None:
-        margins["log"] = entropy - log_b
-        margins["log_vs_bkm"] = bkm - log_b
+    a0 = float(sp.wa[0])
     eps_q = float(np.trace(state.c).real)
     frob_sq = float(np.sum(np.abs(state.b) ** 2))
+    pinsker = float(bounds.pinsker)
     params = {
         "a0": a0,
         "eps_q": eps_q,
         "frob_sq": frob_sq,
-        "trace_norm_b": b1,
+        "trace_norm_b": float(np.sum(svals)),
         # Pinsker-domination diagnostic: log bound wins when the first
         # quantity exceeds the second (eps_q <= a0 e^{-2 rank B} suffices)
         "log_ratio": math.log(a0 / eps_q) if a0 > 0 and eps_q > 0 else None,
         "pinsker_ratio": pinsker / frob_sq if frob_sq > 0 else None,
     }
     return BoundReport(
-        entropy=entropy,
-        bkm_bound=bkm,
+        entropy=float(bounds.entropy),
+        bkm_bound=float(bounds.bkm),
         log_bound=log_b,
         pinsker_bound=pinsker,
-        fidelity_bound=fid,
+        fidelity_bound=float(bounds.fidelity),
         coarse_applicable=log_b is not None,
         margins=margins,
         params=params,

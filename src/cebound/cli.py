@@ -15,16 +15,36 @@ import sys
 
 import numpy as np
 
-from .bkm import PETZ_FUNCTIONS, midpoint_margins
-from .bounds import bound_report, find_separation_eps, separation_family, sharpness_family
-from .dephasing import OrbitConfig, entropy_production, orbit_trace, write_orbit_csv
+from .bkm import PETZ_FUNCTIONS, _check_midpoint, _midpoint_margins
+from .bounds import (
+    _BlockSpectra,
+    _bounds,
+    bound_report,
+    find_separation_eps,
+    separation_family,
+    sharpness_family,
+)
+from .dephasing import OrbitConfig, _production, _rate, orbit_trace, write_orbit_csv
 from .errors import CeboundError
-from .linalg import pinch, pythagorean_residual, random_block_state, read_state_json
-from .variational import modulus_curve, pipeline_values
+from .linalg import (
+    BlockState,
+    _join_spectra,
+    _pythagorean,
+    _stack,
+    pinch,
+    random_block_state,
+    read_state_json,
+)
+from .variational import _pinched_and_merged, modulus_curve
 from .variational import optimizer as variational_optimizer
 
 MIDPOINT_GRID = (0.25, 0.5, 0.75, 0.9)
 DEPHASING_TIMES = (0.0, 0.5, 1.0)
+ENSEMBLES = ("ginibre", "boundary")
+# Cap on the entries of the largest stacked array of a verify chunk (the
+# midpoint grid, 9 matrices of d x d per state): at d = 64 a chunk is one
+# trial, so memory stays that of evaluating states one by one.
+STACK_ELEMENTS = 1 << 16
 
 
 def _parse_dims(text: str) -> range:
@@ -52,44 +72,121 @@ def _parse_float_list(text: str) -> list:
     return [_finite_float(tok) for tok in text.split(",") if tok]
 
 
-def _verify_trial(dim_p: int, dim_q: int, trial: int, seed: int) -> dict:
-    """Worst margin per inequality for one trial (ginibre + boundary state)."""
-    margins = {}
-
-    def record(name, value):
-        if name not in margins or value < margins[name]:
-            margins[name] = value
-
+def _trial_states(dim_p: int, dim_q: int, trial: int, seed: int):
+    """The trial's (ginibre, boundary) states and its Pythagorean reference
+    sigma, drawn as a ginibre state whose pinching is used."""
     trial_seed = int(
         np.random.SeedSequence([seed, dim_p, dim_q, trial]).generate_state(1)[0]
     )
-    a0 = 0.6 / dim_p
-    eps_q = 0.2 / dim_p
-    states = {
-        "ginibre": random_block_state(dim_p, dim_q, trial_seed, "ginibre"),
-        "boundary": random_block_state(
-            dim_p, dim_q, trial_seed, "boundary", a0=a0, eps_q=eps_q
+    states = (
+        random_block_state(dim_p, dim_q, trial_seed, "ginibre"),
+        random_block_state(
+            dim_p, dim_q, trial_seed, "boundary", a0=0.6 / dim_p, eps_q=0.2 / dim_p
         ),
-    }
-    for state in states.values():
-        report = bound_report(state)
-        for name, value in report.margins.items():
-            record(f"{name}", value)
-        mids = midpoint_margins(state, MIDPOINT_GRID, tuple(PETZ_FUNCTIONS))
-        record("midpoint", float(np.min(mids["bkm"])))
-        for tag, values in mids.items():
-            record(f"petz_{tag}", float(np.min(values)))
-        entropy, pinched_sum, merged = pipeline_values(state, report.params["a0"])
-        record("pipeline_pinch", entropy - pinched_sum)
-        record("pipeline_merge", pinched_sum - merged)
-        sigma = pinch(
-            random_block_state(dim_p, dim_q, trial_seed + 1, "ginibre")
+    )
+    return states, random_block_state(dim_p, dim_q, trial_seed + 1, "ginibre")
+
+
+def _stack_margins(state: BlockState, sigma: BlockState) -> list:
+    """(inequality, margin) pairs for each member of a stack of states.
+
+    ``sigma`` stacks each member's Pythagorean reference (used pinched).  One
+    eigh each of A, C and rho and one SVD of B serve every bound, the M +- Y
+    check, the Pythagorean terms, the dephasing rate at t = 0 (rho_0 = rho) and
+    the SVD pinching; only that pinching and the merge run per member.
+    """
+    sp = _BlockSpectra(*np.linalg.eigh(state.a), *np.linalg.eigh(state.c))
+    rho = state.to_matrix()
+    w_rho, v_rho = np.linalg.eigh(rho)
+    _check_midpoint(np.minimum(sp.wa[:, 0], sp.wc[:, 0]), w_rho[:, 0])
+    svd = np.linalg.svd(state.b)
+    bounds, _ = _bounds(state, sp, rho, w_rho, svd[1])
+    margins = bounds.margins()
+    log_applies = ~np.isnan(bounds.log)
+
+    m, y = pinch(state), state.off_diagonal()
+    mids = _midpoint_margins(m, y, MIDPOINT_GRID, tuple(PETZ_FUNCTIONS))
+
+    # gamma = 1, so alpha = e^{-t}, and t = 0 gives rho itself
+    alphas = np.array([math.exp(-t) for t in DEPHASING_TIMES[1:]])
+    w_t, v_t = np.linalg.eigh(m[:, None] + alphas[:, None, None] * y[:, None])
+    rates = [
+        _rate(1.0, 1.0, y, w_rho, v_rho),
+        *_rate(1.0, alphas, y[:, None], w_t, v_t).T,
+    ]
+    dephasing = [
+        _production(1.0, t, rate, bounds.bkm).margin
+        for t, rate in zip(DEPHASING_TIMES, rates)
+    ]
+
+    m_spectra = _join_spectra(*sp)
+    s_spectra = _join_spectra(*np.linalg.eigh(sigma.a), *np.linalg.eigh(sigma.c))
+    pythagorean = -np.abs(_pythagorean(rho, w_rho, m, m_spectra, s_spectra))
+
+    out = []
+    for k in range(len(rho)):
+        member = BlockState(
+            state.dim_p, state.dim_q, state.a[k], state.b[k], state.c[k]
         )
-        record("pythagorean", -abs(pythagorean_residual(state, sigma)))
-        cfg = OrbitConfig(state=state, gamma=1.0, t_max=2.0, steps=2)
-        for t in DEPHASING_TIMES:
-            record("dephasing", entropy_production(cfg, t).margin)
-    return margins
+        pinched_sum, merged = _pinched_and_merged(
+            member, float(sp.wa[k, 0]), [x[k] for x in svd]
+        )
+        names = ["bkm", "pinsker", "fidelity"]
+        if log_applies[k]:
+            names += ["log", "log_vs_bkm"]
+        pairs = [(name, float(margins[name][k])) for name in names]
+        pairs.append(("midpoint", float(np.min(mids["bkm"][k]))))
+        pairs += [(f"petz_{tag}", float(np.min(v[k]))) for tag, v in mids.items()]
+        pairs += [
+            ("pipeline_pinch", float(bounds.entropy[k]) - pinched_sum),
+            ("pipeline_merge", pinched_sum - merged),
+            ("pythagorean", float(pythagorean[k])),
+        ]
+        pairs += [("dephasing", float(margin[k])) for margin in dephasing]
+        out.append(pairs)
+    return out
+
+
+def _verify_group(dim_p: int, dim_q: int, trials: int, seed: int) -> list:
+    """Worst margin per inequality for each trial of one (d_p, d_q) group, in
+    trial order.
+
+    Each trial contributes a ginibre and a boundary state; the group is
+    evaluated as one stack, in chunks of at most STACK_ELEMENTS entries of
+    the midpoint-grid stack.  A failing check is replayed member by member,
+    so its error names the state's dims, trial and ensemble.
+    """
+    trial_entries = len(ENSEMBLES) * (1 + 2 * len(MIDPOINT_GRID)) * (dim_p + dim_q) ** 2
+    per_chunk = max(1, STACK_ELEMENTS // trial_entries)
+    results = []
+    for start in range(0, trials, per_chunk):
+        drawn = [
+            _trial_states(dim_p, dim_q, trial, seed)
+            for trial in range(start, min(start + per_chunk, trials))
+        ]
+        states = [state for pair, _ in drawn for state in pair]
+        sigmas = [sigma for _, sigma in drawn for _ in ENSEMBLES]
+        try:
+            pairs = _stack_margins(_stack(states), _stack(sigmas))
+        except CeboundError:
+            for k, member in enumerate(zip(states, sigmas)):
+                try:
+                    _stack_margins(*(_stack([x]) for x in member))
+                except CeboundError as exc:
+                    trial, ensemble = divmod(k, len(ENSEMBLES))
+                    raise type(exc)(
+                        f"{exc} (dims ({dim_p}, {dim_q}), trial {start + trial}, "
+                        f"ensemble {ENSEMBLES[ensemble]}, seed {seed})"
+                    ) from exc
+            raise
+        for trial in range(len(drawn)):
+            margins = {}
+            for member in pairs[len(ENSEMBLES) * trial : len(ENSEMBLES) * (trial + 1)]:
+                for name, value in member:
+                    if name not in margins or value < margins[name]:
+                        margins[name] = value
+            results.append(margins)
+    return results
 
 
 def _cmd_verify(args) -> int:
@@ -105,7 +202,12 @@ def _cmd_verify(args) -> int:
         for dq in args.dims
         for trial in range(args.trials)
     ]
-    results = [_verify_trial(*t, seed=args.seed) for t in tasks]
+    results = [
+        margins
+        for dp in args.dims
+        for dq in args.dims
+        for margins in _verify_group(dp, dq, args.trials, args.seed)
+    ]
 
     worst = {}
     for task, margins in zip(tasks, results):

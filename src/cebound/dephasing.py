@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bkm import _midpoint_inputs
-from .bounds import _block_spectra, _log_bound, _operator_bound
+from .bounds import _block_spectra, _log_bound, _operator_bound, _optional
 from .errors import DomainError
 from .linalg import BlockState, _xlogx_sum
 
@@ -54,15 +54,15 @@ class OrbitConfig:
     @cached_property
     def tr_m_log_m(self) -> float:
         """Tr[M log M]; Tr[Y log M] = 0 because log M is block diagonal."""
-        return _xlogx_sum(np.linalg.eigvalsh(self.m))
+        return float(_xlogx_sum(np.linalg.eigvalsh(self.m)))
 
     @cached_property
     def bkm(self) -> float:
-        return _operator_bound(self._spectra, self.state.b, regularize=False)[0]
+        return float(_operator_bound(self._spectra, self.state.b, regularize=False)[0])
 
     @cached_property
     def log_bound(self) -> float | None:
-        return _log_bound(float(self._spectra.wa[0]), self.state)
+        return _optional(_log_bound(self._spectra.wa[0], self.state))
 
 
 def orbit_state(cfg: OrbitConfig, t: float) -> np.ndarray:
@@ -74,16 +74,18 @@ def orbit_state(cfg: OrbitConfig, t: float) -> np.ndarray:
 
 def _entropy_at_alpha(cfg: OrbitConfig, alpha: float) -> float:
     """D(M + alpha Y || M) = Tr[rho log rho] - Tr[M log M]."""
-    return _xlogx_sum(np.linalg.eigvalsh(cfg.m + alpha * cfg.y)) - cfg.tr_m_log_m
+    w = np.linalg.eigvalsh(cfg.m + alpha * cfg.y)
+    return float(_xlogx_sum(w)) - cfg.tr_m_log_m
 
 
-def _rate(cfg: OrbitConfig, alpha: float, w: np.ndarray, v: np.ndarray) -> float:
-    """Gamma alpha Tr[Y log rho], from the eigenpairs (w, v) of rho = M + alpha Y."""
+def _rate(gamma: float, alpha, y, w, v) -> np.ndarray:
+    """Gamma alpha Tr[Y log rho], from the eigenpairs (w, v) of rho = M + alpha Y,
+    over any leading stack axes."""
     # floor keeps log finite at the support boundary (pure-state orbit at t=0,
     # where the true rate diverges to +inf)
     w = np.clip(w, 1e-300, None)
-    masses = np.real(np.sum(v.conj() * (cfg.y @ v), axis=0))
-    return cfg.gamma * alpha * float(masses @ np.log(w))
+    masses = np.real(np.sum(v.conj() * (y @ v), axis=-2))
+    return gamma * alpha * np.sum(masses * np.log(w), axis=-1)
 
 
 def analytic_rate(cfg: OrbitConfig, t: float) -> float:
@@ -92,7 +94,8 @@ def analytic_rate(cfg: OrbitConfig, t: float) -> float:
     The term -Tr[Y log M] of the derivative vanishes: log M is block diagonal.
     """
     alpha = math.exp(-cfg.gamma * t)
-    return _rate(cfg, alpha, *np.linalg.eigh(cfg.m + alpha * cfg.y))
+    w, v = np.linalg.eigh(cfg.m + alpha * cfg.y)
+    return float(_rate(cfg.gamma, alpha, cfg.y, w, v))
 
 
 def fd_rate(cfg: OrbitConfig, t: float) -> float:
@@ -117,9 +120,9 @@ class ProductionPoint(NamedTuple):
     margin: float
 
 
-def _decay(cfg: OrbitConfig, t: float) -> float:
+def _decay(gamma: float, t: float) -> float:
     """The bound prefactor 2 Gamma e^{-2 Gamma t}."""
-    return 2.0 * cfg.gamma * math.exp(-2.0 * cfg.gamma * t)
+    return 2.0 * gamma * math.exp(-2.0 * gamma * t)
 
 
 def entropy_production(cfg: OrbitConfig, t: float) -> ProductionPoint:
@@ -131,18 +134,19 @@ def entropy_production(cfg: OrbitConfig, t: float) -> ProductionPoint:
     """
     if t < 0.0:
         raise DomainError(f"t must be nonnegative, got {t}")
-    return _production(cfg, t, analytic_rate(cfg, t))
+    return _production(cfg.gamma, t, analytic_rate(cfg, t), cfg.bkm)
 
 
-def _production(cfg: OrbitConfig, t: float, rate: float) -> ProductionPoint:
-    bound = _decay(cfg, t) * cfg.bkm
+def _production(gamma: float, t: float, rate, bkm) -> ProductionPoint:
+    """The rate against its bound at time t; ``rate`` and ``bkm`` may be stacked."""
+    bound = _decay(gamma, t) * bkm
     return ProductionPoint(rate=rate, bound=bound, margin=rate - bound)
 
 
 def log_enhanced_bound(cfg: OrbitConfig, t: float) -> float | None:
     """2 Gamma e^{-2 Gamma t} ||B||_F^2 log(a0/eps_Q), or None when the
     boundary hypotheses (a0 > 0, eps_Q <= a0/2) fail."""
-    return None if cfg.log_bound is None else _decay(cfg, t) * cfg.log_bound
+    return None if cfg.log_bound is None else _decay(cfg.gamma, t) * cfg.log_bound
 
 
 class OrbitRow(NamedTuple):
@@ -166,11 +170,12 @@ def orbit_trace(cfg: OrbitConfig) -> list:
         t = k * cfg.t_max / cfg.steps
         alpha = math.exp(-cfg.gamma * t)
         w, v = np.linalg.eigh(cfg.m + alpha * cfg.y)
-        point = _production(cfg, t, _rate(cfg, alpha, w, v))
+        rate = float(_rate(cfg.gamma, alpha, cfg.y, w, v))
+        point = _production(cfg.gamma, t, rate, cfg.bkm)
         rows.append(
             OrbitRow(
                 t=t,
-                entropy=_xlogx_sum(w) - cfg.tr_m_log_m,
+                entropy=float(_xlogx_sum(w)) - cfg.tr_m_log_m,
                 rate=point.rate,
                 bkm_bound=point.bound,
                 log_bound=log_enhanced_bound(cfg, t),

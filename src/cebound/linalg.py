@@ -90,7 +90,8 @@ class BlockState:
     """A density matrix with a designated P (+) Q split.
 
     ``a`` is the dim_p x dim_p leading block, ``c`` the dim_q x dim_q
-    trailing block, and ``b`` the dim_p x dim_q coherence block.
+    trailing block, and ``b`` the dim_p x dim_q coherence block.  Blocks with
+    leading axes hold a stack of states (see ``_stack``).
     """
 
     dim_p: int
@@ -101,9 +102,9 @@ class BlockState:
 
     def to_matrix(self) -> np.ndarray:
         """Reassemble the full density matrix [[A, B], [B*, C]]."""
-        top = np.hstack([self.a, self.b])
-        bot = np.hstack([self.b.conj().T, self.c])
-        return np.vstack([top, bot])
+        top = np.concatenate([self.a, self.b], axis=-1)
+        bot = np.concatenate([_adjoint(self.b), self.c], axis=-1)
+        return np.concatenate([top, bot], axis=-2)
 
     @property
     def dim(self) -> int:
@@ -111,10 +112,40 @@ class BlockState:
 
     def off_diagonal(self) -> np.ndarray:
         """The direction Y = rho - pinch(rho), i.e. the off-diagonal part."""
-        y = np.zeros((self.dim, self.dim), dtype=complex)
-        y[: self.dim_p, self.dim_p :] = self.b
-        y[self.dim_p :, : self.dim_p] = self.b.conj().T
+        y = np.zeros(self.b.shape[:-2] + (self.dim, self.dim), dtype=complex)
+        y[..., : self.dim_p, self.dim_p :] = self.b
+        y[..., self.dim_p :, : self.dim_p] = _adjoint(self.b)
         return y
+
+
+def _adjoint(x) -> np.ndarray:
+    """x*, over any leading stack axes."""
+    return np.swapaxes(x.conj(), -1, -2)
+
+
+def _stack(states) -> BlockState:
+    """One BlockState whose blocks carry a leading axis over ``states``.
+
+    The private helpers written over leading stack axes take such a stack
+    and return one value per member; the public functions take one state.
+    """
+    first = states[0]
+    a, b, c = (np.stack([getattr(s, k) for s in states]) for k in "abc")
+    return BlockState(dim_p=first.dim_p, dim_q=first.dim_q, a=a, b=b, c=c)
+
+
+def _block_diag(x, z) -> np.ndarray:
+    """x (+) z, over any leading stack axes."""
+    p = x.shape[-1]
+    out = np.zeros(x.shape[:-2] + (p + z.shape[-1],) * 2, dtype=complex)
+    out[..., :p, :p] = x
+    out[..., p:, p:] = z
+    return out
+
+
+def _join_spectra(wx, vx, wz, vz):
+    """Eigenpairs of X (+) Z from those of X and Z (eigenvalues not sorted)."""
+    return np.concatenate([wx, wz], axis=-1), _block_diag(vx, vz)
 
 
 def block_decompose(rho, dim_p: int) -> BlockState:
@@ -138,33 +169,45 @@ def _split(rho: np.ndarray, dim_p: int) -> BlockState:
 
 def pinch(state: BlockState) -> np.ndarray:
     """Block-diagonal pinching A (+) C of the state."""
-    m = np.zeros((state.dim, state.dim), dtype=complex)
-    m[: state.dim_p, : state.dim_p] = state.a
-    m[state.dim_p :, state.dim_p :] = state.c
-    return m
+    return _block_diag(state.a, state.c)
 
 
-def _xlogx_sum(w: np.ndarray) -> float:
-    """Tr[X log X] from the eigenvalues w of PSD X, cut at SUPPORT_TOL (1 + max|w|)."""
-    pos = w[w > SUPPORT_TOL * (1.0 + np.max(np.abs(w)))]
-    return float(np.sum(pos * np.log(pos)))
+def _xlogx_sum(w: np.ndarray) -> np.ndarray:
+    """Tr[X log X] from the eigenvalues w of PSD X, cut at SUPPORT_TOL (1 + max|w|).
+
+    ``w`` may carry leading stack axes; each member has its own cut.  A cut
+    eigenvalue is replaced by 1, whose 1 log 1 is exactly 0.
+    """
+    cut = SUPPORT_TOL * (1.0 + np.max(np.abs(w), axis=-1, keepdims=True))
+    pos = np.where(w > cut, w, 1.0)
+    return np.sum(pos * np.log(pos), axis=-1)
+
+
+def _spectral_entropy_terms(rho, w_rho, ws, vs) -> np.ndarray:
+    """Tr[rho (log rho - log sigma)] from the eigenvalues ``w_rho`` of rho and the
+    eigenpairs (ws, vs) of sigma, over any leading stack axes.
+
+    +inf where the support of rho is not contained in the support of sigma
+    (sigma-eigenvalue below SUPPORT_TOL carrying rho-mass above
+    SUPPORT_MASS_TOL).
+    """
+    # Tr[rho log sigma] via the eigenbasis of sigma: masses_i = (V* rho V)_ii
+    masses = np.real(np.sum(vs.conj() * (rho @ vs), axis=-2))
+    null = ws <= SUPPORT_TOL
+    cross = np.sum(masses * np.log(np.where(null, 1.0, ws)), axis=-1)
+    outside = np.any(null & (masses > SUPPORT_MASS_TOL), axis=-1)
+    return np.where(outside, np.inf, _xlogx_sum(w_rho) - cross)
 
 
 def _entropy_terms(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Tr[rho (log rho - log sigma)] for PSD rho, sigma (not necessarily trace 1).
 
     Returns +inf when the support of rho is not contained in the support of
-    sigma (sigma-eigenvalue below SUPPORT_TOL carrying rho-mass above
-    SUPPORT_MASS_TOL).
+    sigma.
     """
-    ws, vs = np.linalg.eigh(sigma)
-    # Tr[rho log sigma] via the eigenbasis of sigma: masses_i = (V* rho V)_ii
-    masses = np.real(np.sum(vs.conj() * (rho @ vs), axis=0))
-    null = ws <= SUPPORT_TOL
-    if np.any(masses[null] > SUPPORT_MASS_TOL):
-        return float("inf")
-    cross = float(np.sum(masses[~null] * np.log(ws[~null])))
-    return _xlogx_sum(np.linalg.eigvalsh(rho)) - cross
+    return float(
+        _spectral_entropy_terms(rho, np.linalg.eigvalsh(rho), *np.linalg.eigh(sigma))
+    )
 
 
 def relative_entropy(rho, sigma) -> float:
@@ -189,11 +232,12 @@ def coherence_entropy(state: BlockState) -> float:
     pinch(rho), so D is finite and needs no eigenvectors.
     """
     w_rho, wa, wc = (np.linalg.eigvalsh(h) for h in (state.to_matrix(), state.a, state.c))
-    return _coherence_entropy(w_rho, wa, wc)
+    return float(_coherence_entropy(w_rho, wa, wc))
 
 
-def _coherence_entropy(w_rho, wa, wc) -> float:
-    """S(pinch(rho)) - S(rho) from the eigenvalues of rho, A and C."""
+def _coherence_entropy(w_rho, wa, wc) -> np.ndarray:
+    """S(pinch(rho)) - S(rho) from the eigenvalues of rho, A and C, over any
+    leading stack axes."""
     return _xlogx_sum(w_rho) - (_xlogx_sum(wa) + _xlogx_sum(wc))
 
 
@@ -211,13 +255,26 @@ def pythagorean_residual(state: BlockState, sigma) -> float:
     if np.linalg.norm(off) > 1e-12:
         raise DomainError("sigma is not block-diagonal in the P (+) Q split")
     rho = state.to_matrix()
-    m = pinch(state)
-    d_rs = _entropy_terms(rho, sigma)
-    d_rm = _entropy_terms(rho, m)
-    d_ms = _entropy_terms(m, sigma)
-    if not (np.isfinite(d_rs) and np.isfinite(d_rm) and np.isfinite(d_ms)):
-        return float("nan")
-    return d_rs - d_rm - d_ms
+    dp = state.dim_p
+    m_spectra = _join_spectra(*np.linalg.eigh(state.a), *np.linalg.eigh(state.c))
+    s_spectra = _join_spectra(
+        *np.linalg.eigh(sigma[:dp, :dp]), *np.linalg.eigh(sigma[dp:, dp:])
+    )
+    return float(
+        _pythagorean(rho, np.linalg.eigvalsh(rho), pinch(state), m_spectra, s_spectra)
+    )
+
+
+def _pythagorean(rho, w_rho, m, m_spectra, s_spectra) -> np.ndarray:
+    """D(rho||sigma) - D(rho||M) - D(M||sigma) over any leading stack axes, from
+    the eigenvalues of rho and the eigenpairs of M = pinch(rho) and of sigma;
+    NaN where any of the three is infinite."""
+    d_rs = _spectral_entropy_terms(rho, w_rho, *s_spectra)
+    d_rm = _spectral_entropy_terms(rho, w_rho, *m_spectra)
+    d_ms = _spectral_entropy_terms(m, m_spectra[0], *s_spectra)
+    finite = np.isfinite(d_rs) & np.isfinite(d_rm) & np.isfinite(d_ms)
+    with np.errstate(invalid="ignore"):  # inf - inf, masked below
+        return np.where(finite, d_rs - d_rm - d_ms, np.nan)
 
 
 def _ginibre_density(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -75,8 +75,12 @@ def svd_pinch(state: BlockState) -> PinchedData:
     singular channel pairs of B, plus the projections onto ker B* and ker B.
     Singular values below 1e-12 are folded into the kernel sectors.
     """
-    dp, dq, d = state.dim_p, state.dim_q, state.dim
-    u, svals, vh = np.linalg.svd(state.b)
+    return _svd_pinch(state, *np.linalg.svd(state.b))
+
+
+def _svd_pinch(state: BlockState, u, svals, vh) -> PinchedData:
+    """``svd_pinch`` from the full SVD B = u diag(svals) vh."""
+    dp, d = state.dim_p, state.dim
     keep = svals > SV_CUTOFF
     k = int(np.sum(keep))
     kraus = []
@@ -457,15 +461,18 @@ def pipeline_values(state: BlockState, a0: float) -> tuple:
     ``a0`` is the floor the state is known to satisfy; the merge uses the full
     P-basis completion, so spectator directions of A enter with eps = x = 0.
     """
-    entropy = coherence_entropy(state)
-    pinched = svd_pinch(state)
-    pinched_sum = pinched.entropy()
+    pinched_sum, merged = _pinched_and_merged(state, a0, np.linalg.svd(state.b))
+    return coherence_entropy(state), pinched_sum, merged
+
+
+def _pinched_and_merged(state: BlockState, a0: float, svd) -> tuple:
+    """(pinched Phi-sum, merged Phi) of ``pipeline_values``, from the full SVD of B."""
+    pinched = _svd_pinch(state, *svd)
     block_list = [(a, c, s * s) for a, c, s in pinched.channels]
     block_list.extend((float(a), 0.0, 0.0) for a in pinched.kernel_a)
     eps_rem = float(np.sum(pinched.kernel_c)) if len(pinched.kernel_c) else 0.0
     spec = MergeSpec(blocks=tuple(block_list), eps_rem=eps_rem, a0=a0)
-    merged = merge_channel(spec)
-    return entropy, pinched_sum, merged.right_entropy
+    return pinched.entropy(), merge_channel(spec).right_entropy
 
 
 def modulus_curve(a_star: float, tau: float, eps_grid) -> list:

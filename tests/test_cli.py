@@ -3,18 +3,28 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from cebound import (
+    BlockState,
+    DomainError,
     OrbitConfig,
     bound_report,
+    entropy_production,
+    midpoint_margins,
     orbit_trace,
+    pinch,
+    pipeline_values,
+    pythagorean_residual,
     random_block_state,
     read_state_json,
     two_level_pure,
     write_state_json,
 )
-from cebound.cli import _verify_trial, main
+from cebound.bkm import PETZ_FUNCTIONS
+from cebound import cli
+from cebound.cli import _verify_group, main
 from cebound.twolevel import binary_entropy, phi
 
 
@@ -78,23 +88,125 @@ def test_verify_output_ignores_cebound_threads(capsys, monkeypatch):
 
 
 def test_verify_trial_eigensolver_budget(lapack_calls):
-    # one spectral pass per matrix: 62 eigh/eigvalsh calls per trial today, 76
-    # when bound_report re-diagonalised A and C per bound, 88 when every
-    # dephasing time re-diagonalised M, 322 when every Petz tag re-diagonalised
-    # each M +- tY
-    _verify_trial(2, 2, 0, 7)
-    assert lapack_calls["eigh"] + lapack_calls["eigvalsh"] <= 62
-    assert lapack_calls["svd"] <= 5
+    # one trial: 5 eigensolver calls and 1 SVD to sample its three states, 8
+    # stacked calls (A, C, rho, the fidelity, the midpoint grid, two dephasing
+    # times, the two blocks of sigma) plus 1 SVD of B, and 2 per state in the
+    # merge channel: 17 and 2, against 62 and 5 when each state was evaluated
+    # on its own, 88 when every dephasing time re-diagonalised M, 322 when
+    # every Petz tag re-diagonalised each M +- tY
+    _verify_group(2, 2, 1, 7)
+    assert lapack_calls["eigh"] + lapack_calls["eigvalsh"] <= 17
+    assert lapack_calls["svd"] <= 2
+
+
+def test_verify_group_eigensolver_budget(lapack_calls):
+    # the stacked calls do not grow with the trials: 8 x (5 + 4) + 8 = 80
+    # eigensolver calls and 8 + 1 = 9 SVDs, against 8 x 62 and 8 x 5
+    _verify_group(2, 2, 8, 7)
+    assert lapack_calls["eigh"] + lapack_calls["eigvalsh"] <= 80
+    assert lapack_calls["svd"] <= 9
+
+
+def _reference_trial(dim_p, dim_q, trial, seed):
+    """Worst margin per inequality of one trial, from the public per-state functions."""
+    margins = {}
+
+    def record(name, value):
+        if name not in margins or value < margins[name]:
+            margins[name] = value
+
+    trial_seed = int(
+        np.random.SeedSequence([seed, dim_p, dim_q, trial]).generate_state(1)[0]
+    )
+    sigma = pinch(random_block_state(dim_p, dim_q, trial_seed + 1, "ginibre"))
+    for state in (
+        random_block_state(dim_p, dim_q, trial_seed, "ginibre"),
+        random_block_state(
+            dim_p, dim_q, trial_seed, "boundary", a0=0.6 / dim_p, eps_q=0.2 / dim_p
+        ),
+    ):
+        report = bound_report(state)
+        for name, value in report.margins.items():
+            record(name, value)
+        mids = midpoint_margins(state, cli.MIDPOINT_GRID, tuple(PETZ_FUNCTIONS))
+        record("midpoint", float(np.min(mids["bkm"])))
+        for tag, values in mids.items():
+            record(f"petz_{tag}", float(np.min(values)))
+        entropy, pinched_sum, merged = pipeline_values(state, report.params["a0"])
+        record("pipeline_pinch", entropy - pinched_sum)
+        record("pipeline_merge", pinched_sum - merged)
+        record("pythagorean", -abs(pythagorean_residual(state, sigma)))
+        cfg = OrbitConfig(state=state, gamma=1.0, t_max=2.0, steps=2)
+        for t in cli.DEPHASING_TIMES:
+            record("dephasing", entropy_production(cfg, t).margin)
+    return margins
+
+
+def _assert_matches_reference(dim_p, dim_q, trials, seed):
+    stacked = _verify_group(dim_p, dim_q, trials, seed)
+    assert len(stacked) == trials
+    for trial, margins in enumerate(stacked):
+        reference = _reference_trial(dim_p, dim_q, trial, seed)
+        assert margins.keys() == reference.keys()
+        for name, value in margins.items():
+            assert abs(value - reference[name]) <= 1e-15, (dim_p, dim_q, trial, name)
+
+
+@pytest.mark.parametrize("dim_p", [1, 2, 3, 4])
+@pytest.mark.parametrize("dim_q", [1, 2, 3, 4])
+def test_verify_group_matches_per_state_functions(dim_p, dim_q):
+    # both ensembles: every trial holds a ginibre and a boundary state
+    _assert_matches_reference(dim_p, dim_q, 3, 11)
+
+
+def test_verify_group_spanning_chunks_matches_per_state_functions(monkeypatch):
+    # room for two trials of (3, 2) per chunk: 5 trials take three chunks
+    monkeypatch.setattr(cli, "STACK_ELEMENTS", 2 * 2 * 9 * 5**2)
+    _assert_matches_reference(3, 2, 5, 7)
+
+
+def test_m_plus_minus_y_check_names_the_failing_state(monkeypatch):
+    # B beyond the PSD edge: M = diag(0.5, 0.5) is positive, but rho = M + Y
+    # has eigenvalue 0.5 - 0.6 < 0, so M +- Y is not PSD
+    bad = BlockState(
+        dim_p=1,
+        dim_q=1,
+        a=np.array([[0.5]], dtype=complex),
+        b=np.array([[0.6]], dtype=complex),
+        c=np.array([[0.5]], dtype=complex),
+    )
+    with pytest.raises(DomainError, match=r"M \+- Y must be positive semidefinite"):
+        midpoint_margins(bad, cli.MIDPOINT_GRID, ("bkm",))
+    with pytest.raises(DomainError, match=r"M \+- Y must be positive semidefinite"):
+        OrbitConfig(state=bad, gamma=1.0, t_max=2.0, steps=2)
+
+    # a stack whose trial-1 boundary state has B pushed past the PSD edge
+    draw = cli._trial_states
+
+    def crafted(dim_p, dim_q, trial, seed):
+        (ginibre, boundary), sigma = draw(dim_p, dim_q, trial, seed)
+        if trial == 1:
+            boundary = BlockState(
+                dim_p, dim_q, boundary.a, 1.5 * boundary.b, boundary.c
+            )
+        return (ginibre, boundary), sigma
+
+    monkeypatch.setattr(cli, "_trial_states", crafted)
+    with pytest.raises(
+        DomainError,
+        match=r"M \+- Y must be .*dims \(2, 2\), trial 1, ensemble boundary, seed 7",
+    ):
+        _verify_group(2, 2, 3, 7)
 
 
 def test_orbit_trace_eigensolver_budget(lapack_calls):
     # one eigh per row gives both the entropy and the rate, so 65 rows cost 65
-    # calls, plus 6 for the config (3 to check M and M +- Y, eigh of A and C,
-    # Tr[M log M]): 71 calls against 137 with an eigvalsh and an eigh per row
+    # calls, plus 5 for the config (2 to check M and M +- Y, eigh of A and C,
+    # Tr[M log M]): 70 calls against 137 with an eigvalsh and an eigh per row
     state = random_block_state(2, 2, 7)
     lapack_calls.clear()
     orbit_trace(OrbitConfig(state=state, gamma=1.5, t_max=2.0, steps=64))
-    assert lapack_calls["eigh"] + lapack_calls["eigvalsh"] <= 71
+    assert lapack_calls["eigh"] + lapack_calls["eigvalsh"] <= 70
 
 
 def test_report_path_lapack_budget(lapack_calls, tmp_path):
