@@ -45,10 +45,8 @@ from .errors import (
 )
 from .linalg import (
     BlockState,
-    SpectralDecomposition,
     block_decompose,
     coherence_entropy,
-    eigh,
     pinch,
     pythagorean_residual,
     random_block_state,

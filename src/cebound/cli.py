@@ -28,14 +28,15 @@ from .dephasing import OrbitConfig, _production, _rate, orbit_trace, write_orbit
 from .errors import CeboundError
 from .linalg import (
     BlockState,
+    _boundary_state,
+    _ginibre_draw,
     _join_spectra,
     _pythagorean,
     _stack,
     pinch,
-    random_block_state,
     read_state_json,
 )
-from .variational import _pinched_and_merged, modulus_curve
+from .variational import _pipeline, modulus_curve
 from .variational import optimizer as variational_optimizer
 
 MIDPOINT_GRID = (0.25, 0.5, 0.75, 0.9)
@@ -73,18 +74,14 @@ def _parse_float_list(text: str) -> list:
 
 
 def _trial_states(dim_p: int, dim_q: int, trial: int, seed: int):
-    """The trial's (ginibre, boundary) states and its Pythagorean reference
-    sigma, drawn as a ginibre state whose pinching is used."""
+    """The trial's (ginibre, boundary) states, both from one ginibre draw, and its
+    Pythagorean reference sigma, a ginibre state whose pinching is used."""
     trial_seed = int(
         np.random.SeedSequence([seed, dim_p, dim_q, trial]).generate_state(1)[0]
     )
-    states = (
-        random_block_state(dim_p, dim_q, trial_seed, "ginibre"),
-        random_block_state(
-            dim_p, dim_q, trial_seed, "boundary", a0=0.6 / dim_p, eps_q=0.2 / dim_p
-        ),
-    )
-    return states, random_block_state(dim_p, dim_q, trial_seed + 1, "ginibre")
+    ginibre, rng = _ginibre_draw(dim_p, dim_q, trial_seed)
+    states = (ginibre, _boundary_state(ginibre, rng, 0.6 / dim_p, 0.2 / dim_p))
+    return states, _ginibre_draw(dim_p, dim_q, trial_seed + 1)[0]
 
 
 def _stack_margins(state: BlockState, sigma: BlockState) -> list:
@@ -93,7 +90,7 @@ def _stack_margins(state: BlockState, sigma: BlockState) -> list:
     ``sigma`` stacks each member's Pythagorean reference (used pinched).  One
     eigh each of A, C and rho and one SVD of B serve every bound, the M +- Y
     check, the Pythagorean terms, the dephasing rate at t = 0 (rho_0 = rho) and
-    the SVD pinching; only that pinching and the merge run per member.
+    the SVD pinching and merge, where only the polygon phases run per member.
     """
     sp = _BlockSpectra(*np.linalg.eigh(state.a), *np.linalg.eigh(state.c))
     rho = state.to_matrix()
@@ -122,15 +119,10 @@ def _stack_margins(state: BlockState, sigma: BlockState) -> list:
     m_spectra = _join_spectra(*sp)
     s_spectra = _join_spectra(*np.linalg.eigh(sigma.a), *np.linalg.eigh(sigma.c))
     pythagorean = -np.abs(_pythagorean(rho, w_rho, m, m_spectra, s_spectra))
+    pinched, merged = _pipeline(state, sp.wa[:, 0], svd)
 
     out = []
     for k in range(len(rho)):
-        member = BlockState(
-            state.dim_p, state.dim_q, state.a[k], state.b[k], state.c[k]
-        )
-        pinched_sum, merged = _pinched_and_merged(
-            member, float(sp.wa[k, 0]), [x[k] for x in svd]
-        )
         names = ["bkm", "pinsker", "fidelity"]
         if log_applies[k]:
             names += ["log", "log_vs_bkm"]
@@ -138,8 +130,8 @@ def _stack_margins(state: BlockState, sigma: BlockState) -> list:
         pairs.append(("midpoint", float(np.min(mids["bkm"][k]))))
         pairs += [(f"petz_{tag}", float(np.min(v[k]))) for tag, v in mids.items()]
         pairs += [
-            ("pipeline_pinch", float(bounds.entropy[k]) - pinched_sum),
-            ("pipeline_merge", pinched_sum - merged),
+            ("pipeline_pinch", float(bounds.entropy[k] - pinched[k])),
+            ("pipeline_merge", float(pinched[k] - merged[k])),
             ("pythagorean", float(pythagorean[k])),
         ]
         pairs += [("dephasing", float(margin[k])) for margin in dephasing]

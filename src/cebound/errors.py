@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all cebound modules."""
 
+import numpy as np
+
 
 class CeboundError(Exception):
     """Base class for all errors raised by cebound."""
@@ -27,3 +29,12 @@ class NumericError(CeboundError, RuntimeError):
 
 class SamplingError(CeboundError, RuntimeError):
     """A rejection sampler exhausted its attempt budget."""
+
+
+def _fail_first(bad, error: type, message: str, *values) -> None:
+    """Raise ``error`` at the first entry flagged in ``bad``, formatting ``message``
+    with each of ``values`` (broadcast to ``bad``) at that entry."""
+    if np.any(bad):
+        i = np.argmax(bad)
+        at = [np.broadcast_to(v, np.shape(bad)).flat[i] for v in values]
+        raise error(message.format(*at))

@@ -20,7 +20,6 @@ PSD_TOL = 1e-12
 TRACE_TOL = 1e-12
 SUPPORT_TOL = 1e-12
 SUPPORT_MASS_TOL = 1e-10
-RECON_TOL = 1e-10
 
 
 def _as_complex(m) -> np.ndarray:
@@ -55,34 +54,6 @@ def validate_density(rho, name: str = "rho") -> np.ndarray:
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValidationError(f"{name} has trace {tr!r}, expected 1")
     return rho
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
-
-def eigh(h, name: str = "matrix") -> SpectralDecomposition:
-    """Spectral decomposition of a Hermitian matrix, validated on input and output."""
-    h = validate_hermitian(h, name)
-    w, v = np.linalg.eigh(h)
-    dec = SpectralDecomposition(eigenvalues=w, eigenvectors=v)
-    hnorm = np.linalg.norm(h)
-    recon = np.linalg.norm(dec.reconstruct() - h)
-    ortho = np.linalg.norm(v.conj().T @ v - np.eye(h.shape[0]))
-    if recon > RECON_TOL * (1.0 + hnorm) or ortho > RECON_TOL:
-        raise ValidationError(
-            f"eigendecomposition of {name} failed self-check "
-            f"(recon {recon:.3e}, ortho {ortho:.3e})"
-        )
-    return dec
 
 
 @dataclass(frozen=True)
@@ -333,10 +304,9 @@ def random_block_state(
     """
     if dim_p < 1 or dim_q < 1:
         raise DomainError("dimensions must be >= 1")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), dim_p, dim_q]))
-    rho = _ginibre_density(rng, dim_p + dim_q)
+    state, rng = _ginibre_draw(dim_p, dim_q, seed)
     if ensemble == "ginibre":
-        return block_decompose(rho, dim_p)
+        return state
     if ensemble != "boundary":
         raise DomainError(f"unknown ensemble {ensemble!r}")
     if a0 is None or eps_q is None:
@@ -346,7 +316,19 @@ def random_block_state(
             f"boundary ensemble needs dim_p*a0 + eps_q <= 1, "
             f"got {dim_p * a0 + eps_q}"
         )
-    s = block_decompose(rho, dim_p)
+    return _boundary_state(state, rng, a0, eps_q)
+
+
+def _ginibre_draw(dim_p: int, dim_q: int, seed: int):
+    """The validated ginibre state of ``seed`` and the RNG stream it leaves."""
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), dim_p, dim_q]))
+    return block_decompose(_ginibre_density(rng, dim_p + dim_q), dim_p), rng
+
+
+def _boundary_state(s: BlockState, rng, a0: float, eps_q: float) -> BlockState:
+    """The boundary-ensemble state of ``random_block_state`` derived from the
+    ginibre state ``s``; ``rng`` redraws B only when the ginibre B vanishes."""
+    dim_p, dim_q = s.dim_p, s.dim_q
     c = s.c * (eps_q / np.trace(s.c).real)
     trace_a = 1.0 - eps_q
     a_raw = s.a * (trace_a / np.trace(s.a).real)

@@ -15,8 +15,10 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+import numpy as np
+
 from .bkm import log_mean_kernel
-from .errors import DomainError
+from .errors import DomainError, _fail_first
 
 X_DOMAIN_TOL = 1e-14
 
@@ -27,38 +29,43 @@ class TwoLevelParams(NamedTuple):
     x: float
 
 
-def _check_domain(a: float, eps: float, x: float) -> None:
-    if a < 0.0 or eps < 0.0 or x < 0.0:
-        raise DomainError(f"parameters must be nonnegative, got ({a}, {eps}, {x})")
-    if x > a * eps + X_DOMAIN_TOL:
-        raise DomainError(f"x = {x} exceeds a*eps = {a * eps}")
+def _check_domain(a, eps, x) -> None:
+    """Raise for the first entry of the broadcast arguments outside the domain."""
+    message = "parameters must be nonnegative, got ({}, {}, {})"
+    _fail_first((a < 0.0) | (eps < 0.0) | (x < 0.0), DomainError, message, a, eps, x)
+    message = "x = {} exceeds a*eps = {}"
+    _fail_first(x > a * eps + X_DOMAIN_TOL, DomainError, message, x, a * eps)
 
 
-def _xlogx(v: float) -> float:
-    return v * math.log(v) if v > 0.0 else 0.0
+def _xlogx(v):
+    """v log v elementwise, with 0 log 0 = 0."""
+    pos = np.where(v > 0.0, v, 1.0)
+    return pos * np.log(pos)
 
 
-def _eigenvalues(a: float, eps: float, x: float) -> tuple[float, float]:
-    """(lam_+, lam_-) of the 2x2 block, with lam_- computed cancellation-free.
-
-    The eigenvalue product is a*eps - x exactly, so lam_- = (a*eps - x)/lam_+.
-    """
-    root = math.sqrt((a - eps) ** 2 + 4.0 * x)
+def _eigenvalues(a, eps, x):
+    """(lam_+, lam_-, lam_+ - lam_-) of the 2x2 block, with lam_- computed
+    cancellation-free as (a*eps - x)/lam_+, since lam_+ lam_- = a*eps - x."""
+    root = np.sqrt((a - eps) ** 2 + 4.0 * x)
     lam_plus = 0.5 * (a + eps + root)
-    if lam_plus <= 0.0:
-        return 0.0, 0.0
-    lam_minus = max((a * eps - x) / lam_plus, 0.0)
-    return lam_plus, lam_minus
+    lam_minus = np.maximum(a * eps - x, 0.0) / np.where(lam_plus > 0.0, lam_plus, 1.0)
+    return lam_plus, lam_minus, root
 
 
-def phi(a: float, eps: float, x: float) -> float:
-    """The two-level entropy functional.  Phi(a, eps, 0) = 0; Phi >= 0."""
+def phi(a, eps, x):
+    """The two-level entropy functional, elementwise over broadcast arrays (a
+    float for scalar arguments).  Phi(a, eps, 0) = 0; Phi >= 0."""
+    a, eps, x = (np.asarray(v, dtype=float) for v in (a, eps, x))
     _check_domain(a, eps, x)
-    if x == 0.0:
-        return 0.0
-    lam_plus, lam_minus = _eigenvalues(a, eps, x)
+    val = _phi(a, eps, x)
+    return float(val) if val.ndim == 0 else val
+
+
+def _phi(a, eps, x):
+    """``phi`` without the domain check."""
+    lam_plus, lam_minus, _ = _eigenvalues(a, eps, x)
     val = _xlogx(lam_plus) + _xlogx(lam_minus) - _xlogx(a) - _xlogx(eps)
-    return max(val, 0.0)
+    return np.where(x == 0.0, 0.0, np.maximum(val, 0.0))
 
 
 def phi_dx(a: float, eps: float, x: float) -> float:
@@ -72,10 +79,9 @@ def phi_dx(a: float, eps: float, x: float) -> float:
         raise DomainError("phi_dx requires a > 0 and eps > 0")
     if x == 0.0:
         return log_mean_kernel(a, eps)
-    lam_plus, lam_minus = _eigenvalues(a, eps, x)
+    lam_plus, lam_minus, root = _eigenvalues(a, eps, x)
     if lam_minus <= 0.0:
         return float("inf")
-    root = math.sqrt((a - eps) ** 2 + 4.0 * x)
     return math.log(lam_plus / lam_minus) / root
 
 
@@ -89,11 +95,10 @@ def phi_dxx(a: float, eps: float, x: float) -> float:
     _check_domain(a, eps, x)
     if a <= 0.0 or eps <= 0.0:
         raise DomainError("phi_dxx requires a > 0 and eps > 0")
-    lam_plus, lam_minus = _eigenvalues(a, eps, x)
+    lam_plus, lam_minus, d = _eigenvalues(a, eps, x)
     if lam_minus <= 0.0:
         return float("inf")
     u = 0.5 * math.log(lam_plus / lam_minus)
-    d = math.sqrt((a - eps) ** 2 + 4.0 * x)  # lam_+ - lam_- exactly
     if d <= 0.0:
         d = 2.0 * math.sqrt(lam_plus * lam_minus) * math.sinh(u)
         if d <= 0.0:
@@ -129,4 +134,4 @@ def phi_chain_check(a: float, eps: float, x: float) -> ChainCheck:
 
 def binary_entropy(q: float) -> float:
     """h(q) = -q log q - (1-q) log(1-q), in nats."""
-    return -(_xlogx(q) + _xlogx(1.0 - q))
+    return float(-(_xlogx(q) + _xlogx(1.0 - q)))

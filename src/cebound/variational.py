@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleError, NumericError, SamplingError
-from .linalg import BlockState, _entropy_terms, _floor_mix_weight, coherence_entropy
-from .twolevel import TwoLevelParams, phi
+from .errors import DomainError, InfeasibleError, NumericError, SamplingError, _fail_first
+from .linalg import BlockState, _adjoint, _entropy_terms, _floor_mix_weight, _stack
+from .linalg import coherence_entropy
+from .twolevel import TwoLevelParams, _phi, phi
 
 COMPLETENESS_TOL = 1e-12
 SV_CUTOFF = 1e-12
@@ -33,24 +34,24 @@ class KrausChannel:
 
     def completeness_defect(self) -> float:
         """Frobenius norm of sum_k K* K - I."""
-        acc = np.zeros((self.dim_in, self.dim_in), dtype=complex)
-        for k in self.kraus:
-            acc += k.conj().T @ k
-        return float(np.linalg.norm(acc - np.eye(self.dim_in)))
+        k = np.stack(self.kraus)
+        gram = np.einsum("kji,kjl->il", k.conj(), k)
+        return float(np.linalg.norm(gram - np.eye(self.dim_in)))
 
     def apply(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=complex)
-        out = np.zeros((self.dim_out, self.dim_out), dtype=complex)
-        for k in self.kraus:
-            out += k @ x @ k.conj().T
-        return out
+        """sum_k K x K*."""
+        k = np.stack(self.kraus)
+        return np.einsum("kij,jl,kml->im", k, x, k.conj(), optimize=True)
+
+
+def _check_completeness(defect) -> None:
+    message = "Kraus completeness defect {:.3e} too large"
+    _fail_first(defect > COMPLETENESS_TOL, NumericError, message, defect)
 
 
 def _checked_channel(dim_in: int, dim_out: int, kraus: list) -> KrausChannel:
     ch = KrausChannel(dim_in=dim_in, dim_out=dim_out, kraus=tuple(kraus))
-    defect = ch.completeness_defect()
-    if defect > COMPLETENESS_TOL:
-        raise NumericError(f"Kraus completeness defect {defect:.3e} too large")
+    _check_completeness(ch.completeness_defect())
     return ch
 
 
@@ -210,22 +211,36 @@ class MergeSpec:
     a0: float
 
     def validate(self) -> None:
-        if self.a0 <= 0.0 or self.eps_rem < 0.0 or not self.blocks:
-            raise DomainError("merge spec needs a0 > 0, eps_rem >= 0, blocks nonempty")
-        for a, eps, x in self.blocks:
-            if a < self.a0 - 1e-10:
-                raise DomainError(f"block diagonal {a} below the floor {self.a0}")
-            if eps < 0.0 or x < 0.0 or x > a * eps + 1e-14:
-                raise DomainError(f"block ({a}, {eps}, {x}) violates 0 <= x <= a*eps")
-        a_m, e_m, x_m = self.merged()
-        if x_m > a_m * e_m + 1e-12:
-            raise DomainError("total coherence X exceeds A*E")
+        _validate_merge(*self._stacked())
 
     def merged(self) -> TwoLevelParams:
-        a_m = self.a0 + sum(a - self.a0 for a, _, _ in self.blocks)
-        e_m = self.eps_rem + sum(eps for _, eps, _ in self.blocks)
-        x_m = sum(x for _, _, x in self.blocks)
-        return TwoLevelParams(a=a_m, eps=e_m, x=x_m)
+        return TwoLevelParams(*(float(v[0]) for v in _merge_sums(*self._stacked())))
+
+    def _stacked(self) -> tuple:
+        """(a, eps, x, eps_rem, a0) as a stack of one member."""
+        blocks = np.array(self.blocks, dtype=float).reshape(1, -1, 3)
+        return (*np.moveaxis(blocks, -1, 0), np.array([self.eps_rem]), np.array([self.a0]))
+
+
+def _merge_sums(a, eps, x, eps_rem, a0) -> tuple:
+    """(A, E, X) = (a0 + sum_j (a_j - a0), eps_rem + sum_j eps_j, sum_j x_j)."""
+    da, de, dx = (np.sum(v, axis=-1) for v in (a - a0[..., None], eps, x))
+    return a0 + da, eps_rem + de, dx
+
+
+def _validate_merge(a, eps, x, eps_rem, a0) -> tuple:
+    """The inequalities of ``MergeSpec.validate`` for each member; returns (A, E, X)."""
+    message = "merge spec needs a0 > 0, eps_rem >= 0, blocks nonempty"
+    _fail_first((a0 <= 0.0) | (eps_rem < 0.0) | (a.shape[-1] == 0), DomainError, message)
+    floor = a0[..., None]
+    message = "block diagonal {} below the floor {}"
+    _fail_first(a < floor - 1e-10, DomainError, message, a, floor)
+    bad = (eps < 0.0) | (x < 0.0) | (x > a * eps + 1e-14)
+    message = "block ({}, {}, {}) violates 0 <= x <= a*eps"
+    _fail_first(bad, DomainError, message, a, eps, x)
+    a_m, e_m, x_m = _merge_sums(a, eps, x, eps_rem, a0)
+    _fail_first(x_m > a_m * e_m + 1e-12, DomainError, "total coherence X exceeds A*E")
+    return a_m, e_m, x_m
 
 
 @dataclass(frozen=True)
@@ -236,21 +251,37 @@ class MergeResult:
     right_entropy: float
 
 
-def _merge_radii(avals: list, xvals: list, a_target: float, x_total: float) -> list:
-    """Step 1: r_j = (1-t) b_j + t with b_j = sqrt(x_j/X) and sum a_j r_j^2 = A.
+def _merge_radii(avals, xvals, a_target, x_total) -> np.ndarray:
+    """Step 1, over a stack: r_j = (1-t) b_j + t, b_j = sqrt(x_j/X), sum a_j r_j^2 = A.
 
     The constraint is p t^2 + 2 q t + r = 0 with p = sum a_j (1-b_j)^2,
     q = sum a_j b_j (1-b_j) >= 0 and r = sum a_j b_j^2 - A <= 0, whose root in
     [0, 1] is t = -r/(q + sqrt(q^2 - p r)).  The denominator vanishes only
     when every t gives the same radii (one block with x > 0); then t = 0.
     """
-    base = [math.sqrt(x / x_total) if x_total > 0.0 else 0.0 for x in xvals]
-    p = sum(a * (1 - b) ** 2 for a, b in zip(avals, base))
-    q = sum(a * b * (1 - b) for a, b in zip(avals, base))
-    r = sum(a * b * b for a, b in zip(avals, base)) - a_target
-    denom = q + math.sqrt(max(q * q - p * r, 0.0))
-    t = -r / denom if denom > 0.0 else 0.0
-    return [(1 - t) * b + t for b in base]
+    x_total = np.asarray(x_total, dtype=float)[..., None]
+    base = np.sqrt(xvals / np.where(x_total > 0.0, x_total, 1.0))  # X = 0: every x_j = 0
+    p = np.sum(avals * (1 - base) ** 2, axis=-1)
+    q = np.sum(avals * base * (1 - base), axis=-1)
+    r = np.sum(avals * base * base, axis=-1) - a_target
+    denom = q + np.sqrt(np.maximum(q * q - p * r, 0.0))
+    t = np.where(denom > 0.0, -r / np.where(denom > 0.0, denom, 1.0), 0.0)[..., None]
+    return (1 - t) * base + t
+
+
+def _merge_alphas(a, x, a_m, x_m) -> np.ndarray:
+    """Steps 1-2 per member: the radii, checked against A, and polygon phases
+    making alpha_j = r_j e^{i theta_j} give sum_j alpha_j sqrt(x_j) = sqrt(X)."""
+    radii = _merge_radii(a, x, a_m, x_m)
+    check = np.sum(a * radii * radii, axis=-1)
+    missed = np.abs(check - a_m) > 1e-12 * (1.0 + a_m)
+    _fail_first(missed, NumericError, "merge radii missed A: {} vs {}", check, a_m)
+    ell = radii * np.sqrt(x)
+    thetas = np.zeros_like(ell)
+    for m in np.flatnonzero(x_m > 0.0):
+        thetas[m] = polygon_phases(ell[m], math.sqrt(x_m[m]))
+    shift = np.angle(np.sum(ell * np.exp(1j * thetas), axis=-1))
+    return radii * np.exp(1j * (thetas - shift[..., None]))
 
 
 def merge_channel(spec: MergeSpec) -> MergeResult:
@@ -265,22 +296,8 @@ def merge_channel(spec: MergeSpec) -> MergeResult:
     blocks = spec.blocks
     k = len(blocks)
     a_m, e_m, x_m = spec.merged()
-    avals = [a for a, _, _ in blocks]
-    xvals = [x for _, _, x in blocks]
-
-    radii = _merge_radii(avals, xvals, a_m, x_m)
-    check = sum(a * r * r for a, r in zip(avals, radii))
-    if abs(check - a_m) > 1e-12 * (1.0 + a_m):
-        raise NumericError(f"merge radii missed A: {check} vs {a_m}")
-
-    if x_m > 0.0:
-        ell = [r * math.sqrt(x) for r, x in zip(radii, xvals)]
-        thetas = polygon_phases(ell, math.sqrt(x_m))
-        z = sum(l * cmath.exp(1j * t) for l, t in zip(ell, thetas))
-        shift = cmath.phase(z)
-        alphas = [r * cmath.exp(1j * (t - shift)) for r, t in zip(radii, thetas)]
-    else:
-        alphas = [complex(r) for r in radii]
+    a, _, x, _, _ = spec._stacked()
+    alphas = _merge_alphas(a, x, np.array([a_m]), np.array([x_m]))[0]
 
     dim_in = 2 * k + 1
     dim_out = 2 + k
@@ -461,18 +478,53 @@ def pipeline_values(state: BlockState, a0: float) -> tuple:
     ``a0`` is the floor the state is known to satisfy; the merge uses the full
     P-basis completion, so spectator directions of A enter with eps = x = 0.
     """
-    pinched_sum, merged = _pinched_and_merged(state, a0, np.linalg.svd(state.b))
-    return coherence_entropy(state), pinched_sum, merged
+    stack = _stack([state])
+    pinched, merged = _pipeline(stack, np.array([float(a0)]), np.linalg.svd(stack.b))
+    return coherence_entropy(state), float(pinched[0]), float(merged[0])
 
 
-def _pinched_and_merged(state: BlockState, a0: float, svd) -> tuple:
-    """(pinched Phi-sum, merged Phi) of ``pipeline_values``, from the full SVD of B."""
-    pinched = _svd_pinch(state, *svd)
-    block_list = [(a, c, s * s) for a, c, s in pinched.channels]
-    block_list.extend((float(a), 0.0, 0.0) for a in pinched.kernel_a)
-    eps_rem = float(np.sum(pinched.kernel_c)) if len(pinched.kernel_c) else 0.0
-    spec = MergeSpec(blocks=tuple(block_list), eps_rem=eps_rem, a0=a0)
-    return pinched.entropy(), merge_channel(spec).right_entropy
+def _pad(v: np.ndarray, d: int) -> np.ndarray:
+    """The last axis of ``v`` cut or zero-padded to length ``d``."""
+    out = np.zeros(v.shape[:-1] + (d,))
+    out[..., : v.shape[-1]] = v[..., :d]
+    return out
+
+
+def _pipeline(state: BlockState, a0, svd) -> tuple:
+    """(pinched Phi-sum, merged Phi) of ``pipeline_values`` for each member of a
+    stack, from its floors ``a0`` and the full SVD B = U diag(s) V* of its B.
+
+    Column j of U gives the block (u_j*Au_j, v_j*Cv_j, s_j^2), or (u_j*Au_j, 0, 0)
+    with v_j*Cv_j joining eps_rem if s_j <= SV_CUTOFF.  The checks of svd_pinch
+    and merge_channel keep their tolerances and errors but read the channels'
+    structure: U and V unitary; |alpha_j|^2 + max(0, 1 - |alpha_j|^2) = 1; the
+    active output (sum a_j |alpha_j|^2, sum alpha_j sqrt(x_j); ., E), E by
+    construction, equal to (A, sqrt X; sqrt X, E); and spectators diagonal in
+    the output and its pinching alike, so the output entropy is Phi of that block.
+    """
+    u, s, vh = svd
+    gram = [w @ _adjoint(w) - np.eye(w.shape[-1]) for w in (u, _adjoint(vh))]
+    _check_completeness(np.sqrt(sum(np.sum(np.abs(g) ** 2, axis=(-2, -1)) for g in gram)))
+    a = np.einsum("...kj,...kl,...lj->...j", u.conj(), state.a, u).real
+    c = np.einsum("...jk,...kl,...jl->...j", vh, state.c, vh.conj()).real
+    s_p = _pad(s, state.dim_p)
+    keep = s_p > SV_CUTOFF
+    eps, x = np.where(keep, _pad(c, state.dim_p), 0.0), np.where(keep, s_p * s_p, 0.0)
+    eps_rem = np.sum(np.where(_pad(s, state.dim_q) > SV_CUTOFF, 0.0, c), axis=-1)
+    pinched = np.sum(phi(a, eps, x), axis=-1)
+    a_m, e_m, x_m = _validate_merge(a, eps, x, eps_rem, a0)
+    alphas = _merge_alphas(a, x, a_m, x_m)
+    weight = np.abs(alphas) ** 2
+    _check_completeness(np.linalg.norm(weight + np.maximum(0, 1 - weight) - 1, axis=-1))
+    a_out, z_out = np.sum(weight * a, axis=-1), np.sum(alphas * np.sqrt(x), axis=-1)
+    miss = np.abs([a_out - a_m, z_out - np.sqrt(x_m)]).max(axis=0)
+    message = "merged active block does not match (A, sqrt(X); sqrt(X), E)"
+    _fail_first(miss > 1e-10, NumericError, message)
+    merged = phi(a_m, e_m, x_m)
+    wrong = np.abs(_phi(a_out, e_m, np.abs(z_out) ** 2) - merged) > 1e-10 * (1 + merged)
+    message = "merged channel output entropy does not equal Phi(A, E, X)"
+    _fail_first(wrong, NumericError, message)
+    return pinched, merged
 
 
 def modulus_curve(a_star: float, tau: float, eps_grid) -> list:

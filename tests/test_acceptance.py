@@ -275,8 +275,9 @@ def test_criterion_09_10_pipeline_and_channels():
         f"optimizer gap {opt_gap:.2e}, equality-family gap {eq_gap:.2e}",
     )
     # criterion 10: completeness of every constructed channel; the merged
-    # active-block identity is asserted inside merge_channel, so reaching
-    # this point certifies it held for all 300 pipeline runs
+    # active-block identity is asserted inside pipeline_values (through the
+    # channel's structure), so reaching this point certifies it held for all
+    # 300 pipeline runs
     record(
         10,
         worst_defect <= 1e-12,

@@ -88,23 +88,53 @@ def test_verify_output_ignores_cebound_threads(capsys, monkeypatch):
 
 
 def test_verify_trial_eigensolver_budget(lapack_calls):
-    # one trial: 5 eigensolver calls and 1 SVD to sample its three states, 8
+    # one trial: 4 eigensolver calls and 1 SVD to sample its three states (the
+    # boundary state reuses the ginibre draw and its validation), and 8
     # stacked calls (A, C, rho, the fidelity, the midpoint grid, two dephasing
-    # times, the two blocks of sigma) plus 1 SVD of B, and 2 per state in the
-    # merge channel: 17 and 2, against 62 and 5 when each state was evaluated
-    # on its own, 88 when every dephasing time re-diagonalised M, 322 when
-    # every Petz tag re-diagonalised each M +- tY
+    # times, the two blocks of sigma) plus 1 SVD of B, which also serve the
+    # SVD pinching and the merge: 12 and 2, against 17 when the ginibre state
+    # was drawn twice and each merge channel took 2 calls per state, and 62
+    # and 5 when each state was evaluated on its own
     _verify_group(2, 2, 1, 7)
-    assert lapack_calls["eigh"] + lapack_calls["eigvalsh"] <= 17
+    assert lapack_calls["eigh"] + lapack_calls["eigvalsh"] <= 12
     assert lapack_calls["svd"] <= 2
 
 
 def test_verify_group_eigensolver_budget(lapack_calls):
-    # the stacked calls do not grow with the trials: 8 x (5 + 4) + 8 = 80
-    # eigensolver calls and 8 + 1 = 9 SVDs, against 8 x 62 and 8 x 5
+    # the stacked calls do not grow with the trials: 8 x 4 + 8 = 40
+    # eigensolver calls and 8 + 1 = 9 SVDs, against 8 x (5 + 4) + 8 = 80
     _verify_group(2, 2, 8, 7)
-    assert lapack_calls["eigh"] + lapack_calls["eigvalsh"] <= 80
+    assert lapack_calls["eigh"] + lapack_calls["eigvalsh"] <= 40
     assert lapack_calls["svd"] <= 9
+
+
+def test_trial_states_match_separate_draws():
+    # one ginibre draw serves both ensembles: every state is bit-identical to
+    # drawing each one separately through random_block_state
+    for seed in (1, 7, 11):
+        for dim_p in range(1, 5):
+            for dim_q in range(1, 5):
+                for trial in range(20):
+                    (ginibre, boundary), sigma = cli._trial_states(
+                        dim_p, dim_q, trial, seed
+                    )
+                    trial_seed = int(
+                        np.random.SeedSequence([seed, dim_p, dim_q, trial])
+                        .generate_state(1)[0]
+                    )
+                    expected = (
+                        random_block_state(dim_p, dim_q, trial_seed, "ginibre"),
+                        random_block_state(
+                            dim_p, dim_q, trial_seed, "boundary",
+                            a0=0.6 / dim_p, eps_q=0.2 / dim_p,
+                        ),
+                        random_block_state(dim_p, dim_q, trial_seed + 1, "ginibre"),
+                    )
+                    for got, want in zip((ginibre, boundary, sigma), expected):
+                        for block in "abc":
+                            assert np.array_equal(
+                                getattr(got, block), getattr(want, block)
+                            ), (seed, dim_p, dim_q, trial, block)
 
 
 def _reference_trial(dim_p, dim_q, trial, seed):

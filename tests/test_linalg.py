@@ -15,7 +15,6 @@ from cebound import (
     ValidationError,
     block_decompose,
     coherence_entropy,
-    eigh,
     pinch,
     pythagorean_residual,
     random_block_state,
@@ -32,36 +31,6 @@ from cebound.twolevel import binary_entropy
 from conftest import random_states
 
 
-# ---------------------------------------------------------------- eigh
-
-def test_eigh_identity():
-    dec = eigh(np.eye(3))
-    assert np.allclose(dec.eigenvalues, [1.0, 1.0, 1.0])
-    assert np.allclose(dec.reconstruct(), np.eye(3))
-
-
-def test_eigh_diagonal():
-    dec = eigh(np.diag([0.2, 0.8]))
-    assert np.allclose(dec.eigenvalues, [0.2, 0.8])
-
-
-def test_eigh_rank_one_projector():
-    dec = eigh(np.array([[0.5, 0.5], [0.5, 0.5]]))
-    assert np.allclose(dec.eigenvalues, [0.0, 1.0], atol=1e-14)
-
-
-def test_eigh_rejects_non_hermitian():
-    with pytest.raises(ValidationError):
-        eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_eigh_deterministic():
-    h = np.array([[0.3, 0.1 + 0.2j], [0.1 - 0.2j, 0.7]])
-    d1, d2 = eigh(h), eigh(h)
-    assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
-    assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
-
-
 def test_validate_density_rejects_bad_trace_and_negativity():
     with pytest.raises(ValidationError):
         validate_density(np.diag([0.5, 0.6]))
@@ -72,6 +41,11 @@ def test_validate_density_rejects_bad_trace_and_negativity():
 def test_validate_hermitian_rejects_non_finite():
     with pytest.raises(ValidationError):
         validate_hermitian(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+
+def test_validate_hermitian_rejects_non_hermitian():
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        validate_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 # --------------------------------------------------- block decomposition

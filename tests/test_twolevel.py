@@ -1,4 +1,4 @@
-"""The scalar two-level functional Phi and its derivatives."""
+"""The two-level functional Phi, scalar and over arrays, and its derivatives."""
 
 import math
 
@@ -205,3 +205,63 @@ def test_phi_small_x_expansion():
         x = rng.uniform(0.0, 1e-4) * a * eps
         resid = abs(phi(a, eps, x) - x * log_mean_kernel(a, eps))
         assert resid <= 1e3 * x**2 / (a * eps) + 1e-15
+
+
+# ------------------------------------------------------------ array phi
+
+def _scalar_phi(a, eps, x):
+    """Phi by the scalar math-module arithmetic that the array form replaced."""
+    if x == 0.0:
+        return 0.0
+    root = math.sqrt((a - eps) ** 2 + 4.0 * x)
+    lam_plus = 0.5 * (a + eps + root)
+    lam_minus = max((a * eps - x) / lam_plus, 0.0)
+    terms = [v * math.log(v) if v > 0.0 else 0.0 for v in (lam_plus, lam_minus, a, eps)]
+    return max(terms[0] + terms[1] - terms[2] - terms[3], 0.0)
+
+
+def _rounding_scale(a, eps, x):
+    """A few ulps of the terms v log v whose sum is Phi, v = lam_+, lam_-, a, eps."""
+    lam_plus = 0.5 * (a + eps + math.sqrt((a - eps) ** 2 + 4.0 * x))
+    terms = (lam_plus, a * eps / lam_plus if lam_plus > 0 else 0.0, a, eps)
+    return 8 * np.finfo(float).eps * sum(v * (1 + abs(math.log(v))) for v in terms if v > 0)
+
+
+def test_array_phi_matches_scalar_reference():
+    rng = np.random.default_rng(105)
+    a = rng.uniform(1e-6, 1.0, 3000)
+    eps = rng.uniform(0.0, 1.0, 3000) * a
+    x = rng.uniform(0.0, 1.0, 3000) * a * eps
+    x[::7] = 0.0
+    x[1::7] = a[1::7] * eps[1::7]
+    values = phi(a, eps, x)
+    assert values.shape == a.shape
+    for ak, ek, xk, value in zip(a, eps, x, values):
+        assert phi(ak, ek, xk) == value  # the scalar call is the one-element case
+        assert abs(value - _scalar_phi(ak, ek, xk)) <= _rounding_scale(ak, ek, xk)
+
+
+@pytest.mark.parametrize("ratio", [1e-12, 1e-6, 0.5, 1.0 - 1e-9, 1.0])
+def test_array_phi_matches_mpmath(ratio):
+    from mpmath import log as mplog, mp, mpf, sqrt as mpsqrt
+
+    a = np.array([0.9, 0.3, 1e-3, 0.5, 1e-8])
+    eps = np.array([0.05, 0.3, 0.2, 1e-6, 0.7])
+    x = ratio * a * eps
+    values = phi(a, eps, x)
+    with mp.workdps(50):
+        for ak, ek, xk, value in zip(a, eps, x, values):
+            am, em, xm = mpf(ak), mpf(ek), mpf(xk)
+            lam_plus = (am + em + mpsqrt((am - em) ** 2 + 4 * xm)) / 2
+            lam_minus = max((am * em - xm) / lam_plus, mpf(0))
+            ref = sum(
+                sign * v * mplog(v)
+                for sign, v in ((1, lam_plus), (1, lam_minus), (-1, am), (-1, em))
+                if v > 0
+            )
+            assert abs(value - float(ref)) <= _rounding_scale(ak, ek, xk)
+
+
+def test_array_phi_domain_error_names_the_first_bad_entry():
+    with pytest.raises(DomainError, match=r"x = 0.5 exceeds"):
+        phi(np.array([0.5, 0.5, 0.5]), 0.5, np.array([0.1, 0.5, 0.6]))

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from cebound import (
     BlockState,
+    CeboundError,
     DomainError,
     InfeasibleError,
     MergeSpec,
+    NumericError,
     binary_entropy,
     coherence_entropy,
     equality_state,
@@ -29,8 +31,10 @@ from cebound import (
     two_level_pure,
     variational_check,
 )
-from cebound.linalg import _entropy_terms, block_decompose, pinch
-from cebound.variational import _merge_radii
+from cebound import variational
+from cebound.linalg import _entropy_terms, _stack, block_decompose, pinch
+from cebound.twolevel import _phi
+from cebound.variational import SV_CUTOFF, _merge_radii, _pipeline, _svd_pinch
 
 from conftest import random_states
 
@@ -357,3 +361,139 @@ def test_modulus_rejects_bad_tau():
         modulus_curve(0.9, 0.0, [1e-3])
     with pytest.raises(DomainError):
         modulus_curve(0.9, 1.5, [1e-3])
+
+
+# ---------------------------------------------------- stacked pipeline
+
+def _dense_pipeline(state, a0, svd):
+    """(pinched Phi-sum, merged Phi) through the dense svd_pinch and
+    merge_channel, with the kernel sectors entering by their eigenvalues."""
+    pinched = _svd_pinch(state, *svd)
+    blocks = [(a, c, s * s) for a, c, s in pinched.channels]
+    blocks += [(float(a), 0.0, 0.0) for a in pinched.kernel_a]
+    eps_rem = float(np.sum(pinched.kernel_c)) if len(pinched.kernel_c) else 0.0
+    spec = MergeSpec(blocks=tuple(blocks), eps_rem=eps_rem, a0=a0)
+    return pinched.entropy(), merge_channel(spec).right_entropy
+
+
+def _pipeline_states(dim_p, dim_q):
+    """Ginibre and boundary states of one (d_p, d_q), plus states whose B has
+    rank 0 and rank 1, so that one stack holds several numbers of channels."""
+    states = []
+    for seed in range(3):
+        states.append(random_block_state(dim_p, dim_q, seed))
+        states.append(
+            random_block_state(
+                dim_p, dim_q, seed, "boundary", a0=0.6 / dim_p, eps_q=0.2 / dim_p
+            )
+        )
+    base = states[0]
+    states.append(BlockState(dim_p, dim_q, base.a, np.zeros_like(base.b), base.c))
+    rng = np.random.default_rng(dim_p * 10 + dim_q)
+    psi = rng.standard_normal(dim_p + dim_q) + 1j * rng.standard_normal(dim_p + dim_q)
+    psi /= np.linalg.norm(psi)
+    rho = 0.5 * pinch(base) + 0.5 * np.outer(psi, psi.conj())
+    states.append(block_decompose(rho, dim_p))
+    return states
+
+
+@pytest.mark.parametrize("dim_p", [1, 2, 3, 4])
+@pytest.mark.parametrize("dim_q", [1, 2, 3, 4])
+def test_stacked_pipeline_matches_dense_channels(dim_p, dim_q):
+    states = _pipeline_states(dim_p, dim_q)
+    stack = _stack(states)
+    svd = np.linalg.svd(stack.b)
+    a0 = np.linalg.eigvalsh(stack.a)[:, 0]
+    pinched, merged = _pipeline(stack, a0, svd)
+    channels = set()
+    for k, state in enumerate(states):
+        member_svd = [x[k] for x in svd]
+        channels.add(int(np.sum(member_svd[1] > SV_CUTOFF)))
+        ref_pinched, ref_merged = _dense_pipeline(state, float(a0[k]), member_svd)
+        assert abs(pinched[k] - ref_pinched) <= 1e-15, (k, "pinched")
+        assert abs(merged[k] - ref_merged) <= 1e-15, (k, "merged")
+    assert 0 in channels and len(channels) >= 2  # a ragged stack
+
+
+def _outcome(fn, *args):
+    """The type of the CeboundError ``fn(*args)`` raises, or None."""
+    try:
+        fn(*args)
+    except CeboundError as exc:
+        return type(exc)
+    return None
+
+
+def _scale_first(x, factor):
+    x = np.array(x)
+    x[..., 0] *= factor
+    return x
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-15, 1e-6, 1e-2])
+def test_corrupted_unitary_factor_fails_both_checks_alike(delta):
+    state = random_block_state(3, 2, 5)
+    a0 = float(np.linalg.eigvalsh(state.a)[0])
+    u, s, vh = np.linalg.svd(state.b)
+    bad_u = (_scale_first(u, 1 + delta), s, vh)
+    bad_v = (u, s, _scale_first(vh.T, 1 + delta).T)  # one row of V*
+    for bad in (bad_u, bad_v):
+        dense = _outcome(_dense_pipeline, state, a0, bad)
+        stacked = _outcome(
+            _pipeline, _stack([state]), np.array([a0]), [x[None] for x in bad]
+        )
+        assert dense is stacked
+        assert dense is (NumericError if delta >= 1e-6 else None)
+
+
+@pytest.mark.parametrize(
+    "target, corrupt",
+    [
+        pytest.param("_merge_radii", lambda r, d: _scale_first(r, 1 + d), id="radius"),
+        pytest.param("_merge_alphas", lambda z, d: _scale_first(z, 1 + d), id="modulus"),
+        pytest.param(
+            "_merge_alphas", lambda z, d: _scale_first(z, np.exp(1j * d)), id="phase"
+        ),
+    ],
+)
+@pytest.mark.parametrize("delta", [0.0, 1e-15, 1e-6, 0.5])
+def test_corrupted_merge_fails_both_checks_alike(monkeypatch, target, corrupt, delta):
+    # the radii and alphas come from the helpers both paths share; the checks
+    # downstream of them are dense in merge_channel and structured in _pipeline
+    states = [random_block_state(2, 2, 3), random_block_state(3, 3, 4)]
+    original = getattr(variational, target)
+    monkeypatch.setattr(
+        variational, target, lambda *args: corrupt(original(*args), delta)
+    )
+    for state in states:
+        a0 = float(np.linalg.eigvalsh(state.a)[0])
+        svd = np.linalg.svd(state.b)
+        dense = _outcome(_dense_pipeline, state, a0, svd)
+        stacked = _outcome(
+            _pipeline, _stack([state]), np.array([a0]), [x[None] for x in svd]
+        )
+        assert dense is stacked
+        assert dense is (NumericError if delta >= 1e-6 else None)
+
+
+def test_merge_output_entropy_is_phi_of_the_active_block():
+    # the spectators are diagonal in both the output and its pinching, so the
+    # dense output entropy equals Phi of the 2x2 active block
+    for spec in _merge_radii_specs():
+        res = merge_channel(spec)
+        k = len(spec.blocks)
+        m_in = np.zeros((2 * k + 1,) * 2, dtype=complex)
+        for j, (a, eps, x) in enumerate(spec.blocks):
+            m_in[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = [
+                [a, math.sqrt(x)],
+                [math.sqrt(x), eps],
+            ]
+        m_in[2 * k, 2 * k] = spec.eps_rem
+        m_out = res.channel.apply(m_in)
+        d_out = res.channel.apply(np.diag(np.diag(m_in)))
+        spectators = m_out[2:, 2:]
+        assert np.array_equal(spectators, np.diag(np.diag(spectators)))
+        assert np.array_equal(spectators, d_out[2:, 2:])
+        assert not np.any(m_out[:2, 2:])
+        active = _phi(m_out[0, 0].real, m_out[1, 1].real, abs(m_out[0, 1]) ** 2)
+        assert abs(_entropy_terms(m_out, d_out) - active) <= 1e-14
