@@ -52,6 +52,7 @@ from .linalg import (
     random_block_state,
     read_state_json,
     relative_entropy,
+    state_payload,
     two_level_pure,
     validate_density,
     validate_hermitian,
@@ -79,5 +80,6 @@ from .variational import (
     svd_pinch,
     variational_check,
 )
+from .verify import verify_group
 
 __version__ = "0.1.0"

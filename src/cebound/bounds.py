@@ -8,7 +8,7 @@ eps_Q <= a0/2), Pinsker 2||B||_1^2, and the fidelity bound -2 log F.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -75,18 +75,18 @@ def operator_bound(state: BlockState, regularize: bool = False) -> float:
 
 
 def _log_bound(a0, state: BlockState) -> np.ndarray:
-    """||B||_F^2 log(a0/Tr C) over any leading stack axes; NaN where the
-    hypotheses a0 > 0, Tr C > 0, Tr C <= a0/2 fail."""
+    """||B||_F^2 log(a0/Tr C) over any leading stack axes; where the hypotheses
+    a0 > 0, Tr C > 0, Tr C <= a0/2 fail, the vacuous bound -inf."""
     eps_q = np.trace(state.c, axis1=-2, axis2=-1).real
     frob_sq = np.sum(np.abs(state.b) ** 2, axis=(-2, -1))
     applies = (a0 > 0.0) & (eps_q > 0.0) & (eps_q <= a0 / 2.0)
     with np.errstate(divide="ignore", invalid="ignore"):  # masked below
-        return np.where(applies, frob_sq * np.log(a0 / eps_q), np.nan)
+        return np.where(applies, frob_sq * np.log(a0 / eps_q), -np.inf)
 
 
 def _optional(value) -> float | None:
     """A one-state ``_log_bound`` as a float, or None where it does not apply."""
-    return None if np.isnan(value) else float(value)
+    return None if value == -np.inf else float(value)
 
 
 def log_boundary_bound(state: BlockState) -> float | None:
@@ -145,7 +145,8 @@ def fidelity_bound(state: BlockState) -> float:
 class _Bounds(NamedTuple):
     """The lower bounds of ``bound_report``, over any leading stack axes.
 
-    ``log`` is NaN where the log-boundary hypotheses fail.
+    ``log`` is -inf where the log-boundary hypotheses fail, so its margins
+    there are +inf.
     """
 
     entropy: np.ndarray
@@ -194,17 +195,7 @@ class BoundReport:
     regularized: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "entropy": self.entropy,
-            "bkm_bound": self.bkm_bound,
-            "log_bound": self.log_bound,
-            "pinsker_bound": self.pinsker_bound,
-            "fidelity_bound": self.fidelity_bound,
-            "coarse_applicable": self.coarse_applicable,
-            "margins": self.margins,
-            "params": self.params,
-            "regularized": self.regularized,
-        }
+        return asdict(self)
 
     def worst_margin(self) -> float:
         return min(self.margins.values())

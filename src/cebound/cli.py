@@ -15,37 +15,19 @@ import sys
 
 import numpy as np
 
-from .bkm import PETZ_FUNCTIONS, _check_midpoint, _midpoint_margins
 from .bounds import (
-    _BlockSpectra,
-    _bounds,
+    MARGIN_TOL,
     bound_report,
     find_separation_eps,
     separation_family,
     sharpness_family,
 )
-from .dephasing import OrbitConfig, _production, _rate, orbit_trace, write_orbit_csv
+from .dephasing import RATE_REL_TOL, OrbitConfig, orbit_trace, write_orbit_csv
 from .errors import CeboundError
-from .linalg import (
-    BlockState,
-    _boundary_state,
-    _ginibre_draw,
-    _join_spectra,
-    _pythagorean,
-    _stack,
-    pinch,
-    read_state_json,
-)
-from .variational import _pipeline, modulus_curve
+from .linalg import read_state_json, state_payload
+from .variational import modulus_curve
 from .variational import optimizer as variational_optimizer
-
-MIDPOINT_GRID = (0.25, 0.5, 0.75, 0.9)
-DEPHASING_TIMES = (0.0, 0.5, 1.0)
-ENSEMBLES = ("ginibre", "boundary")
-# Cap on the entries of the largest stacked array of a verify chunk (the
-# midpoint grid, 9 matrices of d x d per state): at d = 64 a chunk is one
-# trial, so memory stays that of evaluating states one by one.
-STACK_ELEMENTS = 1 << 16
+from .verify import verify_group
 
 
 def _parse_dims(text: str) -> range:
@@ -73,144 +55,27 @@ def _parse_float_list(text: str) -> list:
     return [_finite_float(tok) for tok in text.split(",") if tok]
 
 
-def _trial_states(dim_p: int, dim_q: int, trial: int, seed: int):
-    """The trial's (ginibre, boundary) states, both from one ginibre draw, and its
-    Pythagorean reference sigma, a ginibre state whose pinching is used."""
-    trial_seed = int(
-        np.random.SeedSequence([seed, dim_p, dim_q, trial]).generate_state(1)[0]
-    )
-    ginibre, rng = _ginibre_draw(dim_p, dim_q, trial_seed)
-    states = (ginibre, _boundary_state(ginibre, rng, 0.6 / dim_p, 0.2 / dim_p))
-    return states, _ginibre_draw(dim_p, dim_q, trial_seed + 1)[0]
-
-
-def _stack_margins(state: BlockState, sigma: BlockState) -> list:
-    """(inequality, margin) pairs for each member of a stack of states.
-
-    ``sigma`` stacks each member's Pythagorean reference (used pinched).  One
-    eigh each of A, C and rho and one SVD of B serve every bound, the M +- Y
-    check, the Pythagorean terms, the dephasing rate at t = 0 (rho_0 = rho) and
-    the SVD pinching and merge, where only the polygon phases run per member.
-    """
-    sp = _BlockSpectra(*np.linalg.eigh(state.a), *np.linalg.eigh(state.c))
-    rho = state.to_matrix()
-    w_rho, v_rho = np.linalg.eigh(rho)
-    _check_midpoint(np.minimum(sp.wa[:, 0], sp.wc[:, 0]), w_rho[:, 0])
-    svd = np.linalg.svd(state.b)
-    bounds, _ = _bounds(state, sp, rho, w_rho, svd[1])
-    margins = bounds.margins()
-    log_applies = ~np.isnan(bounds.log)
-
-    m, y = pinch(state), state.off_diagonal()
-    mids = _midpoint_margins(m, y, MIDPOINT_GRID, tuple(PETZ_FUNCTIONS))
-
-    # gamma = 1, so alpha = e^{-t}, and t = 0 gives rho itself
-    alphas = np.array([math.exp(-t) for t in DEPHASING_TIMES[1:]])
-    w_t, v_t = np.linalg.eigh(m[:, None] + alphas[:, None, None] * y[:, None])
-    rates = [
-        _rate(1.0, 1.0, y, w_rho, v_rho),
-        *_rate(1.0, alphas, y[:, None], w_t, v_t).T,
-    ]
-    dephasing = [
-        _production(1.0, t, rate, bounds.bkm).margin
-        for t, rate in zip(DEPHASING_TIMES, rates)
-    ]
-
-    m_spectra = _join_spectra(*sp)
-    s_spectra = _join_spectra(*np.linalg.eigh(sigma.a), *np.linalg.eigh(sigma.c))
-    pythagorean = -np.abs(_pythagorean(rho, w_rho, m, m_spectra, s_spectra))
-    pinched, merged = _pipeline(state, sp.wa[:, 0], svd)
-
-    out = []
-    for k in range(len(rho)):
-        names = ["bkm", "pinsker", "fidelity"]
-        if log_applies[k]:
-            names += ["log", "log_vs_bkm"]
-        pairs = [(name, float(margins[name][k])) for name in names]
-        pairs.append(("midpoint", float(np.min(mids["bkm"][k]))))
-        pairs += [(f"petz_{tag}", float(np.min(v[k]))) for tag, v in mids.items()]
-        pairs += [
-            ("pipeline_pinch", float(bounds.entropy[k] - pinched[k])),
-            ("pipeline_merge", float(pinched[k] - merged[k])),
-            ("pythagorean", float(pythagorean[k])),
-        ]
-        pairs += [("dephasing", float(margin[k])) for margin in dephasing]
-        out.append(pairs)
-    return out
-
-
-def _verify_group(dim_p: int, dim_q: int, trials: int, seed: int) -> list:
-    """Worst margin per inequality for each trial of one (d_p, d_q) group, in
-    trial order.
-
-    Each trial contributes a ginibre and a boundary state; the group is
-    evaluated as one stack, in chunks of at most STACK_ELEMENTS entries of
-    the midpoint-grid stack.  A failing check is replayed member by member,
-    so its error names the state's dims, trial and ensemble.
-    """
-    trial_entries = len(ENSEMBLES) * (1 + 2 * len(MIDPOINT_GRID)) * (dim_p + dim_q) ** 2
-    per_chunk = max(1, STACK_ELEMENTS // trial_entries)
-    results = []
-    for start in range(0, trials, per_chunk):
-        drawn = [
-            _trial_states(dim_p, dim_q, trial, seed)
-            for trial in range(start, min(start + per_chunk, trials))
-        ]
-        states = [state for pair, _ in drawn for state in pair]
-        sigmas = [sigma for _, sigma in drawn for _ in ENSEMBLES]
-        try:
-            pairs = _stack_margins(_stack(states), _stack(sigmas))
-        except CeboundError:
-            for k, member in enumerate(zip(states, sigmas)):
-                try:
-                    _stack_margins(*(_stack([x]) for x in member))
-                except CeboundError as exc:
-                    trial, ensemble = divmod(k, len(ENSEMBLES))
-                    raise type(exc)(
-                        f"{exc} (dims ({dim_p}, {dim_q}), trial {start + trial}, "
-                        f"ensemble {ENSEMBLES[ensemble]}, seed {seed})"
-                    ) from exc
-            raise
-        for trial in range(len(drawn)):
-            margins = {}
-            for member in pairs[len(ENSEMBLES) * trial : len(ENSEMBLES) * (trial + 1)]:
-                for name, value in member:
-                    if name not in margins or value < margins[name]:
-                        margins[name] = value
-            results.append(margins)
-    return results
-
-
 def _cmd_verify(args) -> int:
-    if args.trials < 1:
-        print("error: --trials must be >= 1", file=sys.stderr)
-        return 2
     if args.tol <= 0.0:
         print("error: --tol must be positive", file=sys.stderr)
         return 2
-    tasks = [
-        (dp, dq, trial)
-        for dp in args.dims
-        for dq in args.dims
-        for trial in range(args.trials)
-    ]
-    results = [
-        margins
-        for dp in args.dims
-        for dq in args.dims
-        for margins in _verify_group(dp, dq, args.trials, args.seed)
-    ]
-
+    groups = [(dp, dq) for dp in args.dims for dq in args.dims]
+    margins = [verify_group(dp, dq, args.trials, args.seed) for dp, dq in groups]
     worst = {}
-    for task, margins in zip(tasks, results):
-        for name, value in margins.items():
-            if name not in worst or value < worst[name]["worst_margin"]:
-                worst[name] = {
-                    "worst_margin": value,
-                    "dims": [task[0], task[1]],
-                    "trial": task[2],
-                    "seed": args.seed,
-                }
+    for name in margins[0]:
+        # groups in order, trials in order within each: argmin takes the first
+        # minimum, or the first NaN, so a NaN margin anywhere fails the run
+        values = np.concatenate([m[name] for m in margins])
+        k = int(np.argmin(values))
+        if values[k] == np.inf:  # a bound that applies to no state
+            continue
+        index, trial = divmod(k, args.trials)
+        worst[name] = {
+            "worst_margin": float(values[k]),
+            "dims": list(groups[index]),
+            "trial": trial,
+            "seed": args.seed,
+        }
     ok = all(entry["worst_margin"] >= -args.tol for entry in worst.values())
     summary = {
         "command": "verify",
@@ -242,7 +107,7 @@ def _cmd_orbit(args) -> int:
     rows = orbit_trace(cfg)
     write_orbit_csv(args.out, rows)
     for idx, row in enumerate(rows):
-        if row.margin < -1e-6 * (1.0 + abs(row.rate)):
+        if row.margin < -RATE_REL_TOL * (1.0 + abs(row.rate)):
             print(f"rate bound violated at row {idx} (t = {row.t})", file=sys.stderr)
             return 1
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -251,8 +116,6 @@ def _cmd_orbit(args) -> int:
 
 def _cmd_optimizer(args) -> int:
     result = variational_optimizer(args.a0, args.eps, args.c, args.dp, args.dq)
-    state = result.state
-    rho = state.to_matrix()
     payload = {
         "a0": args.a0,
         "eps": args.eps,
@@ -261,11 +124,7 @@ def _cmd_optimizer(args) -> int:
         "dq": args.dq,
         "a_star": result.a_star,
         "value": result.value,
-        "state": {
-            "dim_p": state.dim_p,
-            "dim_q": state.dim_q,
-            "matrix": [[[z.real, z.imag] for z in row] for row in rho],
-        },
+        "state": state_payload(result.state),
     }
     print(json.dumps(payload, sort_keys=True, indent=2))
     return 0
@@ -309,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", type=_parse_dims, default=range(2, 4))
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--tol", type=_finite_float, default=1e-9)
+    p.add_argument("--tol", type=_finite_float, default=MARGIN_TOL)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_verify)
 
@@ -356,10 +215,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CeboundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CeboundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

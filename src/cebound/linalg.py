@@ -22,13 +22,9 @@ SUPPORT_TOL = 1e-12
 SUPPORT_MASS_TOL = 1e-10
 
 
-def _as_complex(m) -> np.ndarray:
-    return np.asarray(m, dtype=complex)
-
-
 def validate_hermitian(h, name: str = "matrix") -> np.ndarray:
     """Check that ``h`` is square, finite, and self-adjoint within tolerance."""
-    h = _as_complex(h)
+    h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {h.shape}")
     if not np.all(np.isfinite(h.real)) or not np.all(np.isfinite(h.imag)):
@@ -125,7 +121,7 @@ def block_decompose(rho, dim_p: int) -> BlockState:
 
 
 def _split(rho: np.ndarray, dim_p: int) -> BlockState:
-    """The A, B, C blocks of an already validated density matrix."""
+    """The A, B, C blocks of a density matrix known to be valid."""
     d = rho.shape[0]
     if not 1 <= dim_p < d:
         raise DomainError(f"dim_p must be in [1, {d - 1}], got {dim_p}")
@@ -320,9 +316,11 @@ def random_block_state(
 
 
 def _ginibre_draw(dim_p: int, dim_q: int, seed: int):
-    """The validated ginibre state of ``seed`` and the RNG stream it leaves."""
+    """The ginibre state of ``seed`` and the RNG stream it leaves.  G G*/Tr is
+    Hermitian, positive semidefinite and of unit trace by construction, so it
+    is split without validation."""
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), dim_p, dim_q]))
-    return block_decompose(_ginibre_density(rng, dim_p + dim_q), dim_p), rng
+    return _split(_ginibre_density(rng, dim_p + dim_q), dim_p), rng
 
 
 def _boundary_state(s: BlockState, rng, a0: float, eps_q: float) -> BlockState:
@@ -363,13 +361,16 @@ def two_level_pure(q: float) -> BlockState:
     )
 
 
+def state_payload(state: BlockState) -> dict:
+    """The JSON state-file object: dims and the matrix as [re, im] pairs."""
+    matrix = [[[z.real, z.imag] for z in row] for row in state.to_matrix()]
+    return {"dim_p": state.dim_p, "dim_q": state.dim_q, "matrix": matrix}
+
+
 def write_state_json(path, state: BlockState) -> None:
     """Serialize a BlockState to the JSON state-file format."""
-    rho = state.to_matrix()
-    matrix = [[[z.real, z.imag] for z in row] for row in rho]
-    payload = {"dim_p": state.dim_p, "dim_q": state.dim_q, "matrix": matrix}
     with open(path, "w") as fh:
-        json.dump(payload, fh)
+        json.dump(state_payload(state), fh)
 
 
 def read_state_json(path) -> BlockState:

@@ -1,11 +1,14 @@
 """Command-line interface: exit codes, determinism, and output formats."""
 
+import ast
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+import cebound
 from cebound import (
     BlockState,
     DomainError,
@@ -20,12 +23,14 @@ from cebound import (
     random_block_state,
     read_state_json,
     two_level_pure,
+    validate_density,
     write_state_json,
 )
+from cebound import verify
 from cebound.bkm import PETZ_FUNCTIONS
-from cebound import cli
-from cebound.cli import _verify_group, main
+from cebound.cli import main
 from cebound.twolevel import binary_entropy, phi
+from cebound.verify import verify_group
 
 
 def run(capsys, *argv):
@@ -88,34 +93,37 @@ def test_verify_output_ignores_cebound_threads(capsys, monkeypatch):
 
 
 def test_verify_trial_eigensolver_budget(lapack_calls):
-    # one trial: 4 eigensolver calls and 1 SVD to sample its three states (the
-    # boundary state reuses the ginibre draw and its validation), and 8
-    # stacked calls (A, C, rho, the fidelity, the midpoint grid, two dephasing
-    # times, the two blocks of sigma) plus 1 SVD of B, which also serve the
-    # SVD pinching and the merge: 12 and 2, against 17 when the ginibre state
-    # was drawn twice and each merge channel took 2 calls per state, and 62
-    # and 5 when each state was evaluated on its own
-    _verify_group(2, 2, 1, 7)
-    assert lapack_calls["eigh"] + lapack_calls["eigvalsh"] <= 12
+    # one trial: 2 eigensolver calls and 1 SVD to sample its three states (the
+    # boundary state reuses the ginibre draw, and a fresh draw is not
+    # re-validated), and 8 stacked calls (A, C, rho, the fidelity, the
+    # midpoint grid, two dephasing times, the two blocks of sigma) plus 1 SVD
+    # of B, which also serve the SVD pinching and the merge: 10 and 2, against
+    # 12 when each draw was validated, 17 when the ginibre state was drawn
+    # twice and each merge channel took 2 calls per state, and 62 and 5 when
+    # each state was evaluated on its own
+    verify_group(2, 2, 1, 7)
+    assert lapack_calls["eigh"] + lapack_calls["eigvalsh"] <= 10
     assert lapack_calls["svd"] <= 2
 
 
 def test_verify_group_eigensolver_budget(lapack_calls):
-    # the stacked calls do not grow with the trials: 8 x 4 + 8 = 40
-    # eigensolver calls and 8 + 1 = 9 SVDs, against 8 x (5 + 4) + 8 = 80
-    _verify_group(2, 2, 8, 7)
-    assert lapack_calls["eigh"] + lapack_calls["eigvalsh"] <= 40
+    # the stacked calls do not grow with the trials: 8 x 2 + 8 = 24
+    # eigensolver calls and 8 + 1 = 9 SVDs, against 8 x 4 + 8 = 40 when each
+    # draw was validated
+    verify_group(2, 2, 8, 7)
+    assert lapack_calls["eigh"] + lapack_calls["eigvalsh"] <= 24
     assert lapack_calls["svd"] <= 9
 
 
 def test_trial_states_match_separate_draws():
     # one ginibre draw serves both ensembles: every state is bit-identical to
-    # drawing each one separately through random_block_state
+    # drawing each one separately through random_block_state, and is a valid
+    # density matrix although the sampler does not validate it
     for seed in (1, 7, 11):
         for dim_p in range(1, 5):
             for dim_q in range(1, 5):
                 for trial in range(20):
-                    (ginibre, boundary), sigma = cli._trial_states(
+                    (ginibre, boundary), sigma = verify._trial_states(
                         dim_p, dim_q, trial, seed
                     )
                     trial_seed = int(
@@ -131,6 +139,7 @@ def test_trial_states_match_separate_draws():
                         random_block_state(dim_p, dim_q, trial_seed + 1, "ginibre"),
                     )
                     for got, want in zip((ginibre, boundary, sigma), expected):
+                        validate_density(got.to_matrix())
                         for block in "abc":
                             assert np.array_equal(
                                 getattr(got, block), getattr(want, block)
@@ -158,7 +167,7 @@ def _reference_trial(dim_p, dim_q, trial, seed):
         report = bound_report(state)
         for name, value in report.margins.items():
             record(name, value)
-        mids = midpoint_margins(state, cli.MIDPOINT_GRID, tuple(PETZ_FUNCTIONS))
+        mids = midpoint_margins(state, verify.MIDPOINT_GRID, tuple(PETZ_FUNCTIONS))
         record("midpoint", float(np.min(mids["bkm"])))
         for tag, values in mids.items():
             record(f"petz_{tag}", float(np.min(values)))
@@ -167,16 +176,22 @@ def _reference_trial(dim_p, dim_q, trial, seed):
         record("pipeline_merge", pinched_sum - merged)
         record("pythagorean", -abs(pythagorean_residual(state, sigma)))
         cfg = OrbitConfig(state=state, gamma=1.0, t_max=2.0, steps=2)
-        for t in cli.DEPHASING_TIMES:
+        for t in verify.DEPHASING_TIMES:
             record("dephasing", entropy_production(cfg, t).margin)
     return margins
 
 
 def _assert_matches_reference(dim_p, dim_q, trials, seed):
-    stacked = _verify_group(dim_p, dim_q, trials, seed)
-    assert len(stacked) == trials
-    for trial, margins in enumerate(stacked):
+    stacked = verify_group(dim_p, dim_q, trials, seed)
+    assert all(values.shape == (trials,) for values in stacked.values())
+    for trial in range(trials):
         reference = _reference_trial(dim_p, dim_q, trial, seed)
+        # +inf marks a bound that applies to neither state of the trial
+        margins = {
+            name: values[trial]
+            for name, values in stacked.items()
+            if values[trial] != np.inf
+        }
         assert margins.keys() == reference.keys()
         for name, value in margins.items():
             assert abs(value - reference[name]) <= 1e-15, (dim_p, dim_q, trial, name)
@@ -191,7 +206,7 @@ def test_verify_group_matches_per_state_functions(dim_p, dim_q):
 
 def test_verify_group_spanning_chunks_matches_per_state_functions(monkeypatch):
     # room for two trials of (3, 2) per chunk: 5 trials take three chunks
-    monkeypatch.setattr(cli, "STACK_ELEMENTS", 2 * 2 * 9 * 5**2)
+    monkeypatch.setattr(verify, "STACK_ELEMENTS", 2 * 2 * 9 * 5**2)
     _assert_matches_reference(3, 2, 5, 7)
 
 
@@ -206,12 +221,12 @@ def test_m_plus_minus_y_check_names_the_failing_state(monkeypatch):
         c=np.array([[0.5]], dtype=complex),
     )
     with pytest.raises(DomainError, match=r"M \+- Y must be positive semidefinite"):
-        midpoint_margins(bad, cli.MIDPOINT_GRID, ("bkm",))
+        midpoint_margins(bad, verify.MIDPOINT_GRID, ("bkm",))
     with pytest.raises(DomainError, match=r"M \+- Y must be positive semidefinite"):
         OrbitConfig(state=bad, gamma=1.0, t_max=2.0, steps=2)
 
     # a stack whose trial-1 boundary state has B pushed past the PSD edge
-    draw = cli._trial_states
+    draw = verify._trial_states
 
     def crafted(dim_p, dim_q, trial, seed):
         (ginibre, boundary), sigma = draw(dim_p, dim_q, trial, seed)
@@ -221,12 +236,89 @@ def test_m_plus_minus_y_check_names_the_failing_state(monkeypatch):
             )
         return (ginibre, boundary), sigma
 
-    monkeypatch.setattr(cli, "_trial_states", crafted)
+    monkeypatch.setattr(verify, "_trial_states", crafted)
     with pytest.raises(
         DomainError,
         match=r"M \+- Y must be .*dims \(2, 2\), trial 1, ensemble boundary, seed 7",
     ):
-        _verify_group(2, 2, 3, 7)
+        verify_group(2, 2, 3, 7)
+
+
+def _patched_margins(monkeypatch, edit):
+    """Route verify's stacked margins through ``edit(margins)``."""
+    stack_margins = verify._stack_margins
+
+    def patched(state, sigma):
+        margins = stack_margins(state, sigma)
+        edit(margins)
+        return margins
+
+    monkeypatch.setattr(verify, "_stack_margins", patched)
+
+
+@pytest.mark.parametrize("member", [0, 3, 5])
+@pytest.mark.parametrize("name", ["pythagorean", "bkm", "log"])
+def test_verify_nan_margin_anywhere_fails(capsys, monkeypatch, name, member):
+    # members 0, 3 and 5 are trial 0 ginibre, trial 1 boundary and trial 2
+    # boundary: a NaN fails the run wherever it sits, not only when seen first
+    def inject(margins):
+        margins[name][member] = np.nan
+
+    _patched_margins(monkeypatch, inject)
+    code, out, _ = run(
+        capsys, "verify", "--dims", "2..2", "--trials", "3", "--seed", "7"
+    )
+    assert code == 1
+    summary = json.loads(out)
+    assert summary["pass"] is False
+    assert math.isnan(summary["inequalities"][name]["worst_margin"])
+    assert summary["inequalities"][name]["trial"] == member // 2
+
+
+def test_verify_omits_a_log_bound_that_never_applies(capsys, monkeypatch):
+    # the log hypotheses fail for every state: both log margins are +inf, and
+    # the summary leaves them out, as it does any bound that never applies
+    def never_applies(margins):
+        margins["log"][:] = np.inf
+        margins["log_vs_bkm"][:] = np.inf
+
+    flags = ("verify", "--dims", "1..2", "--trials", "2", "--seed", "7")
+    _, full, _ = run(capsys, *flags)
+    _patched_margins(monkeypatch, never_applies)
+    code, out, _ = run(capsys, *flags)
+    assert code == 0
+    expected = json.loads(full)
+    del expected["inequalities"]["log"], expected["inequalities"]["log_vs_bkm"]
+    assert json.loads(out) == expected
+
+
+def test_verify_group_rejects_empty_input():
+    with pytest.raises(DomainError):
+        verify_group(2, 2, 0, 7)
+    with pytest.raises(DomainError):
+        verify_group(0, 2, 1, 7)
+
+
+def test_cli_imports_only_public_names():
+    # cli parses flags and prints; the engines it calls are public functions,
+    # and verify_group is exported, so the package API reaches it too
+    src = pathlib.Path(cebound.__file__).parent
+    imported = [
+        alias.name
+        for node in ast.walk(ast.parse((src / "cli.py").read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+    ]
+    assert "verify_group" in imported
+    assert [name for name in imported if name.startswith("_")] == []
+    exported = {
+        alias.name
+        for node in ast.parse((src / "__init__.py").read_text()).body
+        if isinstance(node, ast.ImportFrom) and node.module == "verify"
+        for alias in node.names
+    }
+    assert exported == {"verify_group"}
+    assert cebound.verify_group is verify_group
 
 
 def test_orbit_trace_eigensolver_budget(lapack_calls):
