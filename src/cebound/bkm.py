@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError, PositivityError
+from .errors import DomainError, NumericError, PositivityError, _fail_first
 from .linalg import BlockState, pinch, validate_hermitian
 
 POSITIVITY_FLOOR = 1e-12
@@ -79,11 +79,8 @@ def _form(sq, lam, mu, tag: str = "bkm"):
 def _check_positive(w, name: str) -> None:
     """Raise unless the ascending spectrum ``w`` clears POSITIVITY_FLOOR, for
     every member when ``w`` carries leading stack axes."""
-    low = np.min(w[..., 0])
-    if low <= POSITIVITY_FLOOR:
-        raise PositivityError(
-            f"{name} must be positive definite, lambda_min = {low:.3e}"
-        )
+    message = f"{name} must be positive definite, lambda_min = {{:.3e}}"
+    _fail_first(w[..., 0] <= POSITIVITY_FLOOR, PositivityError, message, w[..., 0])
 
 
 def _eigh_positive(h, name: str):
@@ -201,11 +198,13 @@ def bkm_hessian(n, y) -> float:
 
 
 def _midpoint_inputs(state: BlockState):
-    """M = pinch(rho) and Y = rho - M, checked by ``_check_midpoint``."""
+    """M = pinch(rho), Y = rho - M and the spectrum of M, checked by
+    ``_check_midpoint``."""
     m = pinch(state)
     y = state.off_diagonal()
-    _check_midpoint(np.linalg.eigvalsh(m)[0], np.linalg.eigvalsh(m + y)[0])
-    return m, y
+    w_m = np.linalg.eigvalsh(m)
+    _check_midpoint(w_m[0], np.linalg.eigvalsh(m + y)[0])
+    return m, y, w_m
 
 
 def _check_midpoint(m_min, rho_min) -> None:
@@ -215,10 +214,9 @@ def _check_midpoint(m_min, rho_min) -> None:
     M - Y = U (M + Y) U* with U = I (+) -I, so it has the spectrum of M + Y
     and one lambda_min serves both signs.
     """
-    if np.any(m_min <= POSITIVITY_FLOOR):
-        raise PositivityError("pinched state M must be positive definite")
-    if np.any(rho_min < -1e-12):
-        raise DomainError("M +- Y must be positive semidefinite")
+    message = "pinched state M must be positive definite"
+    _fail_first(m_min <= POSITIVITY_FLOOR, PositivityError, message)
+    _fail_first(rho_min < -1e-12, DomainError, "M +- Y must be positive semidefinite")
 
 
 SYMMETRY_TOL = 1e-9
@@ -248,7 +246,7 @@ def midpoint_margins(state: BlockState, t_grid, tags) -> dict:
     every tag must satisfy the block-sign symmetry g_{M+tY} = g_{M-tY} to
     SYMMETRY_TOL.
     """
-    m, y = _midpoint_inputs(state)
+    m, y, _ = _midpoint_inputs(state)
     # Y is exactly Hermitian and vanishes on the diagonal blocks, so each
     # M +- tY has the Hermitian defect of M and at least its scale.
     m = validate_hermitian(m, "M")
@@ -265,13 +263,9 @@ def _midpoint_margins(m, y, t_grid, tags) -> dict:
     shifts = np.concatenate(([0.0], t_grid, -t_grid))
     y = y[..., None, :, :]
     w, v = np.linalg.eigh(m[..., None, :, :] + shifts[:, None, None] * y)
-    low = w[..., 0] <= POSITIVITY_FLOOR
-    if np.any(low):
-        k = np.unravel_index(np.argmax(low), low.shape)
-        raise PositivityError(
-            f"M + tY must be positive definite at t = {shifts[k[-1]]}, "
-            f"lambda_min = {w[k][0]:.3e}"
-        )
+    low = w[..., 0]
+    message = "M + tY must be positive definite at t = {}, lambda_min = {:.3e}"
+    _fail_first(low <= POSITIVITY_FLOOR, PositivityError, message, shifts, low)
     sq = np.abs(_rotate(v, y, v)) ** 2
     n_t = len(t_grid)
     out = {}
@@ -279,12 +273,9 @@ def _midpoint_margins(m, y, t_grid, tags) -> dict:
         vals = _form(sq, w, w, tag)
         plus, minus = vals[..., 1 : n_t + 1], vals[..., n_t + 1 :]
         gap = np.abs(plus - minus)
-        if np.any(gap > SYMMETRY_TOL):
-            k = np.unravel_index(np.argmax(gap), gap.shape)
-            raise NumericError(
-                f"midpoint symmetry violated at t={t_grid[k[-1]]} for tag {tag!r}: "
-                f"|g+ - g-| = {gap[k]:.3e}"
-            )
+        message = f"midpoint symmetry violated at t={{}} for tag {tag!r}: "
+        message += "|g+ - g-| = {:.3e}"
+        _fail_first(gap > SYMMETRY_TOL, NumericError, message, t_grid, gap)
         out[tag] = plus - vals[..., :1]
     return out
 

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bkm import _check_positive, _spectral_bkm_form, bkm_form, log_mean_kernel
-from .errors import DomainError, InfeasibleError, PositivityError
+from .errors import DomainError, InfeasibleError, PositivityError, _fail_first
 from .linalg import (
     BlockState,
     _adjoint,
@@ -118,9 +118,8 @@ def _fidelity(rho, sqrt_sigma) -> np.ndarray:
     """Tr sqrt(sqrt(sigma) rho sqrt(sigma)), given sqrt(sigma), over any leading
     stack axes."""
     w = np.linalg.eigvalsh(sqrt_sigma @ rho @ sqrt_sigma)
-    low = np.min(w[..., 0])
-    if low < -1e-14:
-        raise DomainError(f"fidelity inner matrix not PSD: lambda_min = {low:.3e}")
+    message = "fidelity inner matrix not PSD: lambda_min = {:.3e}"
+    _fail_first(w[..., 0] < -1e-14, DomainError, message, w[..., 0])
     return np.sum(np.sqrt(np.clip(w, 0.0, None)), axis=-1)
 
 

@@ -26,9 +26,10 @@ RATE_REL_TOL = 1e-6
 class OrbitConfig:
     """A dephasing run: initial split state, rate gamma, horizon, grid size.
 
-    M = pinch(rho) is constant along the orbit, so M, Y = rho - M, Tr[M log M],
-    and the BKM form and the log-boundary bound, from one eigendecomposition
-    each of A and C, are computed at most once per config.
+    M = pinch(rho) is constant along the orbit, so M, Y = rho - M, Tr[M log M]
+    (from the spectrum of M that the positivity check takes), and the BKM form
+    and the log-boundary bound, from one eigendecomposition each of A and C,
+    are computed at most once per config.
     """
 
     state: BlockState
@@ -37,24 +38,22 @@ class OrbitConfig:
     steps: int
     m: np.ndarray = field(init=False, repr=False, compare=False)
     y: np.ndarray = field(init=False, repr=False, compare=False)
+    # Tr[Y log M] = 0 because log M is block diagonal, so Tr[rho log M] = Tr[M log M]
+    tr_m_log_m: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # nan fails every comparison, so it is rejected with inf
         finite = 0.0 < self.gamma < math.inf and 0.0 < self.t_max < math.inf
         if not finite or self.steps < 1:
             raise DomainError("need finite gamma > 0, finite t_max > 0, steps >= 1")
-        m, y = _midpoint_inputs(self.state)
+        m, y, w_m = _midpoint_inputs(self.state)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "y", y)
+        object.__setattr__(self, "tr_m_log_m", float(_xlogx_sum(w_m)))
 
     @cached_property
     def _spectra(self):
         return _block_spectra(self.state)
-
-    @cached_property
-    def tr_m_log_m(self) -> float:
-        """Tr[M log M]; Tr[Y log M] = 0 because log M is block diagonal."""
-        return float(_xlogx_sum(np.linalg.eigvalsh(self.m)))
 
     @cached_property
     def bkm(self) -> float:

@@ -121,84 +121,68 @@ POLYGON_TOL = 1e-10
 
 
 def polygon_phases(lengths, target: float) -> np.ndarray:
-    """Phases theta_j with | sum_j e^{i theta_j} l_j | = target.
+    """Phases theta_j with sum_j e^{i theta_j} l_j = target, a real sum >= 0.
 
     The achievable moduli form the interval [max(0, 2 max(l) - sum(l)), sum(l)];
-    targets outside it raise.  Construction: repeatedly merge the two smallest
-    lengths into a virtual vector whose length is chosen to keep the target
-    achievable, solve the two-vector case by the law of cosines, and unwind.
+    targets outside it raise.  Construction, in two passes over the partial
+    sums z_k = sum_{j<=k} e^{i theta_j} l_j: forward, the exact interval each
+    |z_k| can reach; backward from |z_n| = target, each |z_{k-1}| at the
+    midpoint of its interval cut with the annulus | |z_k| - l_k | .. |z_k| + l_k,
+    and l_k placed by the two-vector half-angle formula.
     """
     lengths = np.asarray(lengths, dtype=float)
     if lengths.ndim != 1 or len(lengths) == 0:
         raise DomainError("lengths must be a nonempty vector")
     if np.any(lengths < 0.0):
         raise DomainError("lengths must be nonnegative")
-    total = float(np.sum(lengths))
-    lmax = float(np.max(lengths))
-    floor = max(0.0, 2.0 * lmax - total)
-    if target < floor - 1e-12 or target > total + 1e-12:
-        raise DomainError(
-            f"target {target} outside achievable interval [{floor}, {total}]"
-        )
-    target = min(max(target, floor), total)
-    angles = _phase_solve([float(v) for v in lengths], target)
-    achieved = abs(sum(l * cmath.exp(1j * t) for l, t in zip(lengths, angles)))
-    if abs(achieved - target) > POLYGON_TOL:
-        raise NumericError(
-            f"polygon construction missed target: |{achieved} - {target}|"
-        )
-    return np.asarray(angles)
+    return _polygon(lengths[None], np.array([target], dtype=float))[0]
 
 
-def _two_vector_angle(p: float, q: float, r: float) -> float:
-    """Relative angle gamma with |p + q e^{i gamma}| = r.
-
-    Half-angle branches keep the angle well-conditioned at both endpoints
-    (gamma near 0 when r ~ p+q, gamma near pi when r ~ |p-q|), where the
-    plain law-of-cosines acos loses ~sqrt(eps) accuracy.
-    """
-    if p == 0.0 or q == 0.0:
-        return 0.0
-    cos_half_sq = max((r * r - (p - q) ** 2) / (4.0 * p * q), 0.0)
-    sin_half_sq = max(((p + q) ** 2 - r * r) / (4.0 * p * q), 0.0)
-    if cos_half_sq <= sin_half_sq:
-        return 2.0 * math.acos(min(1.0, math.sqrt(cos_half_sq)))
-    return 2.0 * math.asin(min(1.0, math.sqrt(sin_half_sq)))
-
-
-def _phase_solve(lengths: list, target: float) -> list:
-    n = len(lengths)
-    if n == 1:
-        return [0.0]
-    if n == 2:
-        gamma = _two_vector_angle(lengths[0], lengths[1], target)
-        return [0.0, gamma]
-    order = sorted(range(n), key=lambda i: lengths[i])
-    i, j = order[0], order[1]
-    p, q = lengths[i], lengths[j]
-    rest_idx = [m for m in range(n) if m not in (i, j)]
-    rest = [lengths[m] for m in rest_idx]
-    l_rest = sum(rest)
-    m_rest = max(rest)
-    lo = max(q - p, target - l_rest, 2.0 * m_rest - l_rest - target, 0.0)
-    hi = min(p + q, target + l_rest)
-    if lo > hi:
-        # closed under the feasibility analysis; tolerate roundoff ties
-        if lo > hi + 1e-12:
-            raise NumericError("polygon merge interval collapsed")
-        hi = lo
-    r = 0.5 * (lo + hi)
-    sub = _phase_solve(rest + [r], target)
-    psi = sub[-1]
-    gamma = _two_vector_angle(p, q, r)
-    w = p + q * cmath.exp(1j * gamma)
-    delta = cmath.phase(w) if abs(w) > 0.0 else 0.0
-    angles = [0.0] * n
-    for pos, m in enumerate(rest_idx):
-        angles[m] = sub[pos]
-    angles[i] = psi - delta
-    angles[j] = psi - delta + gamma
-    return angles
+def _polygon(lengths, target) -> np.ndarray:
+    """``polygon_phases`` for each member of a stack: ``lengths`` (..., n) of
+    nonnegative lengths, zero-padded at the end, and ``target`` (...)."""
+    total = np.sum(lengths, axis=-1)
+    floor = np.maximum(0.0, 2.0 * np.max(lengths, axis=-1) - total)
+    outside = (target < floor - 1e-12) | (target > total + 1e-12)
+    message = "target {} outside achievable interval [{}, {}]"
+    _fail_first(outside, DomainError, message, target, floor, total)
+    # forward: |z_k| reaches exactly [lo_k, hi_k], lo_k the distance from l_k
+    # to [lo_{k-1}, hi_{k-1}] and hi_k = hi_{k-1} + l_k
+    n = lengths.shape[-1]
+    lo = np.zeros(lengths.shape[:-1] + (n + 1,))
+    hi = np.zeros_like(lo)
+    for k in range(1, n + 1):
+        ell = lengths[..., k - 1]
+        gap = np.maximum(lo[..., k - 1] - ell, ell - hi[..., k - 1])
+        lo[..., k] = np.maximum(gap, 0.0)
+        hi[..., k] = hi[..., k - 1] + ell
+    # backward: r_k = |z_k| from r_n = target down to r_0 = 0
+    r = np.zeros_like(lo)
+    r[..., n] = np.clip(target, lo[..., n], hi[..., n])
+    for k in range(n, 1, -1):
+        ell = lengths[..., k - 1]
+        low = np.maximum(lo[..., k - 1], np.abs(r[..., k] - ell))
+        high = np.minimum(hi[..., k - 1], r[..., k] + ell)
+        r[..., k - 1] = 0.5 * (low + high)
+    # gamma_k, the angle of l_k against z_{k-1}: |r_{k-1} + l_k e^{i gamma_k}| = r_k.
+    # Half-angle branches keep it well-conditioned near 0 and near pi, where
+    # the plain law-of-cosines acos loses ~sqrt(eps).
+    p, q, rk = r[..., :-1], lengths, r[..., 1:]
+    pq4 = 4.0 * p * q
+    den = np.where(pq4 > 0.0, pq4, 1.0)
+    cos_half = np.sqrt(np.clip((rk * rk - (p - q) ** 2) / den, 0.0, 1.0))
+    sin_half = np.sqrt(np.clip(((p + q) ** 2 - rk * rk) / den, 0.0, 1.0))
+    half = np.where(cos_half <= sin_half, np.arccos(cos_half), np.arcsin(sin_half))
+    gamma = np.where(pq4 > 0.0, 2.0 * half, 0.0)
+    # arg z_k = arg z_{k-1} + delta_k and arg z_n = 0, so
+    # theta_k = arg z_{k-1} + gamma_k = gamma_k - (delta_k + ... + delta_n)
+    delta = np.angle(p + q * np.exp(1j * gamma))
+    theta = gamma - np.flip(np.cumsum(np.flip(delta, -1), axis=-1), -1)
+    achieved = np.abs(np.sum(lengths * np.exp(1j * theta), axis=-1))
+    missed = np.abs(achieved - r[..., n]) > POLYGON_TOL
+    message = "polygon construction missed target: |{} - {}|"
+    _fail_first(missed, NumericError, message, achieved, r[..., n])
+    return theta
 
 
 @dataclass(frozen=True)
@@ -270,18 +254,13 @@ def _merge_radii(avals, xvals, a_target, x_total) -> np.ndarray:
 
 
 def _merge_alphas(a, x, a_m, x_m) -> np.ndarray:
-    """Steps 1-2 per member: the radii, checked against A, and polygon phases
+    """Steps 1-2 over a stack: the radii, checked against A, and polygon phases
     making alpha_j = r_j e^{i theta_j} give sum_j alpha_j sqrt(x_j) = sqrt(X)."""
     radii = _merge_radii(a, x, a_m, x_m)
     check = np.sum(a * radii * radii, axis=-1)
     missed = np.abs(check - a_m) > 1e-12 * (1.0 + a_m)
     _fail_first(missed, NumericError, "merge radii missed A: {} vs {}", check, a_m)
-    ell = radii * np.sqrt(x)
-    thetas = np.zeros_like(ell)
-    for m in np.flatnonzero(x_m > 0.0):
-        thetas[m] = polygon_phases(ell[m], math.sqrt(x_m[m]))
-    shift = np.angle(np.sum(ell * np.exp(1j * thetas), axis=-1))
-    return radii * np.exp(1j * (thetas - shift[..., None]))
+    return radii * np.exp(1j * _polygon(radii * np.sqrt(x), np.sqrt(x_m)))
 
 
 def merge_channel(spec: MergeSpec) -> MergeResult:

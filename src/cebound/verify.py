@@ -54,7 +54,7 @@ def _stack_margins(state: BlockState, sigma: BlockState) -> dict:
     ``sigma`` stacks each member's Pythagorean reference (used pinched).  One
     eigh each of A, C and rho and one SVD of B serve every bound, the M +- Y
     check, the Pythagorean terms, the dephasing rate at t = 0 (rho_0 = rho) and
-    the SVD pinching and merge, where only the polygon phases run per member.
+    the SVD pinching and merge, polygon phases included.
     """
     sp = _BlockSpectra(*np.linalg.eigh(state.a), *np.linalg.eigh(state.c))
     rho = state.to_matrix()

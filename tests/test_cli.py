@@ -323,12 +323,13 @@ def test_cli_imports_only_public_names():
 
 def test_orbit_trace_eigensolver_budget(lapack_calls):
     # one eigh per row gives both the entropy and the rate, so 65 rows cost 65
-    # calls, plus 5 for the config (2 to check M and M +- Y, eigh of A and C,
-    # Tr[M log M]): 70 calls against 137 with an eigvalsh and an eigh per row
+    # calls, plus 4 for the config (2 to check M and M +- Y, whose spectrum of M
+    # also gives Tr[M log M], and eigh of A and C): 69 calls against 137 with an
+    # eigvalsh and an eigh per row
     state = random_block_state(2, 2, 7)
     lapack_calls.clear()
     orbit_trace(OrbitConfig(state=state, gamma=1.5, t_max=2.0, steps=64))
-    assert lapack_calls["eigh"] + lapack_calls["eigvalsh"] <= 70
+    assert lapack_calls["eigh"] + lapack_calls["eigvalsh"] <= 69
 
 
 def test_report_path_lapack_budget(lapack_calls, tmp_path):

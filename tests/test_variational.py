@@ -30,11 +30,19 @@ from cebound import (
     svd_pinch,
     two_level_pure,
     variational_check,
+    verify_group,
 )
 from cebound import variational
 from cebound.linalg import _entropy_terms, _stack, block_decompose, pinch
 from cebound.twolevel import _phi
-from cebound.variational import SV_CUTOFF, _merge_radii, _pipeline, _svd_pinch
+from cebound.variational import (
+    POLYGON_TOL,
+    SV_CUTOFF,
+    _merge_radii,
+    _pipeline,
+    _polygon,
+    _svd_pinch,
+)
 
 from conftest import random_states
 
@@ -122,7 +130,7 @@ def test_polygon_single_length():
 
 @settings(max_examples=100, deadline=None)
 @given(
-    st.lists(st.floats(min_value=1e-6, max_value=10.0), min_size=1, max_size=6),
+    st.lists(st.floats(min_value=1e-12, max_value=10.0), min_size=1, max_size=64),
     st.floats(min_value=0.0, max_value=1.0),
 )
 def test_polygon_random_targets(lengths, frac):
@@ -131,6 +139,50 @@ def test_polygon_random_targets(lengths, frac):
     target = floor + frac * (total - floor)
     angles = polygon_phases(lengths, target)
     assert achieved_modulus(lengths, angles) == pytest.approx(target, abs=1e-10)
+
+
+def test_stacked_polygon_matches_one_state_construction():
+    # a ragged, zero-padded stack: all-zero members (the X = 0 case of the
+    # merge), 1 to 64 lengths from 1e-12 to 10, targets at both ends and inside
+    rng = np.random.default_rng(11)
+    members, targets = [np.zeros(1), np.zeros(5)], [0.0, 0.0]
+    for n in (1, 2, 3, 5, 17, 64):
+        for lengths in (rng.uniform(0.0, 10.0, n), 10.0 ** rng.uniform(-12.0, 1.0, n)):
+            total = float(np.sum(lengths))
+            floor = max(0.0, 2.0 * float(np.max(lengths)) - total)
+            for target in (floor, total, floor + rng.uniform() * (total - floor)):
+                members.append(lengths)
+                targets.append(target)
+    stack = np.zeros((len(members), 64))
+    for m, lengths in enumerate(members):
+        stack[m, : len(lengths)] = lengths
+    thetas = _polygon(stack, np.array(targets))
+    for m, (lengths, target) in enumerate(zip(members, targets)):
+        one = polygon_phases(lengths, target)
+        assert np.array_equal(thetas[m, : len(lengths)], one), m
+        z = sum(l * cmath.exp(1j * t) for l, t in zip(lengths, one))
+        assert abs(z - target) <= POLYGON_TOL, m  # z_n comes out real and positive
+
+
+def test_stacked_polygon_names_the_member_out_of_range():
+    stack = np.array([[3.0, 4.0], [1.0, 1.0], [3.0, 1.0], [2.0, 0.0]])
+    # member 2 has the interval [2, 4]
+    with pytest.raises(DomainError, match=r"target 1\.25 outside achievable interval"):
+        _polygon(stack, np.array([5.0, 1.0, 1.25, 2.0]))
+
+
+def test_stacked_paths_never_call_polygon_phases(monkeypatch):
+    # the stacked merge takes every member's phases in one construction, so a
+    # per-member call of the public function cannot come back
+    def per_member(*args):
+        raise AssertionError("polygon_phases called per member")
+
+    monkeypatch.setattr(variational, "polygon_phases", per_member)
+    margins = verify_group(3, 3, 2, 7)
+    assert np.all(margins["pipeline_merge"] >= 0.0)
+    state = random_block_state(3, 2, 5)
+    _, pinched, merged = pipeline_values(state, float(np.linalg.eigvalsh(state.a)[0]))
+    assert pinched >= merged - 1e-12
 
 
 # ------------------------------------------------------------ merge channel
