@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError, PositivityError, _fail_first
-from .linalg import BlockState, pinch, validate_hermitian
+from .linalg import PSD_TOL, BlockState, pinch, validate_hermitian
 
 POSITIVITY_FLOOR = 1e-12
 _SERIES_THRESHOLD = 1e-8
@@ -216,7 +216,7 @@ def _check_midpoint(m_min, rho_min) -> None:
     """
     message = "pinched state M must be positive definite"
     _fail_first(m_min <= POSITIVITY_FLOOR, PositivityError, message)
-    _fail_first(rho_min < -1e-12, DomainError, "M +- Y must be positive semidefinite")
+    _fail_first(rho_min < -PSD_TOL, DomainError, "M +- Y must be positive semidefinite")
 
 
 SYMMETRY_TOL = 1e-9

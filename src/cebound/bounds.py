@@ -13,13 +13,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bkm import _check_positive, _spectral_bkm_form, bkm_form, log_mean_kernel
+from .bkm import POSITIVITY_FLOOR, _check_positive, _spectral_bkm_form
+from .bkm import bkm_form, log_mean_kernel
 from .errors import DomainError, InfeasibleError, PositivityError, _fail_first
 from .linalg import (
     BlockState,
     _adjoint,
     _block_diag,
     _coherence_entropy,
+    _support,
     two_level_pure,
     validate_hermitian,
 )
@@ -53,7 +55,7 @@ def _operator_bound(sp: _BlockSpectra, b, regularize: bool) -> tuple[np.ndarray,
     spectra are the closed form (1-delta) w + delta/d.  Over a stack, every
     member is regularized when one needs it; only single states ask for it.
     """
-    if np.all(sp.wa[..., 0] > 1e-12) and np.all(sp.wc[..., 0] > 1e-12):
+    if np.all(np.minimum(sp.wa[..., 0], sp.wc[..., 0]) > POSITIVITY_FLOOR):
         return _spectral_bkm_form(*sp, b), False
     if not regularize:
         raise PositivityError("operator_bound requires A > 0 and C > 0")
@@ -110,8 +112,13 @@ def pinsker_bound(state: BlockState) -> float:
     return float(_pinsker(np.linalg.svd(state.b, compute_uv=False)))
 
 
+def _support_sqrt(w) -> np.ndarray:
+    """sqrt of the eigenvalues w of a PSD matrix on its support, 0 on its kernel."""
+    return np.sqrt(np.where(_support(w), w, 0.0))
+
+
 def _psd_sqrt(w, v) -> np.ndarray:
-    return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ _adjoint(v)
+    return (v * _support_sqrt(w)[..., None, :]) @ _adjoint(v)
 
 
 def _fidelity(rho, sqrt_sigma) -> np.ndarray:
@@ -120,7 +127,7 @@ def _fidelity(rho, sqrt_sigma) -> np.ndarray:
     w = np.linalg.eigvalsh(sqrt_sigma @ rho @ sqrt_sigma)
     message = "fidelity inner matrix not PSD: lambda_min = {:.3e}"
     _fail_first(w[..., 0] < -1e-14, DomainError, message, w[..., 0])
-    return np.sum(np.sqrt(np.clip(w, 0.0, None)), axis=-1)
+    return np.sum(_support_sqrt(w), axis=-1)
 
 
 def fidelity(rho, sigma) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 from .bkm import _midpoint_inputs
 from .bounds import _block_spectra, _log_bound, _operator_bound, _optional
 from .errors import DomainError
-from .linalg import BlockState, _xlogx_sum
+from .linalg import BlockState, _trace_log, _xlogx_sum
 
 RATE_REL_TOL = 1e-6
 
@@ -77,24 +77,16 @@ def _entropy_at_alpha(cfg: OrbitConfig, alpha: float) -> float:
     return float(_xlogx_sum(w)) - cfg.tr_m_log_m
 
 
-def _rate(gamma: float, alpha, y, w, v) -> np.ndarray:
-    """Gamma alpha Tr[Y log rho], from the eigenpairs (w, v) of rho = M + alpha Y,
-    over any leading stack axes."""
-    # floor keeps log finite at the support boundary (pure-state orbit at t=0,
-    # where the true rate diverges to +inf)
-    w = np.clip(w, 1e-300, None)
-    masses = np.real(np.sum(v.conj() * (y @ v), axis=-2))
-    return gamma * alpha * np.sum(masses * np.log(w), axis=-1)
-
-
 def analytic_rate(cfg: OrbitConfig, t: float) -> float:
     """-dD/dt = Gamma alpha Tr[Y log(M + alpha Y)], alpha = e^{-Gamma t}.
 
     The term -Tr[Y log M] of the derivative vanishes: log M is block diagonal.
+    On ker rho_t, <v, Y v> = -<v, M v> < 0, so the rate at a singular rho_t
+    (a pure or boundary state at t = 0) is +inf.
     """
     alpha = math.exp(-cfg.gamma * t)
     w, v = np.linalg.eigh(cfg.m + alpha * cfg.y)
-    return float(_rate(cfg.gamma, alpha, cfg.y, w, v))
+    return cfg.gamma * alpha * float(_trace_log(cfg.y, w, v))
 
 
 def fd_rate(cfg: OrbitConfig, t: float) -> float:
@@ -169,7 +161,7 @@ def orbit_trace(cfg: OrbitConfig) -> list:
         t = k * cfg.t_max / cfg.steps
         alpha = math.exp(-cfg.gamma * t)
         w, v = np.linalg.eigh(cfg.m + alpha * cfg.y)
-        rate = float(_rate(cfg.gamma, alpha, cfg.y, w, v))
+        rate = cfg.gamma * alpha * float(_trace_log(cfg.y, w, v))
         point = _production(cfg.gamma, t, rate, cfg.bkm)
         rows.append(
             OrbitRow(

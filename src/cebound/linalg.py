@@ -2,8 +2,8 @@
 relative entropy, and seeded random state generation.
 
 All matrices are dense complex numpy arrays.  Entropies are in nats.
-Eigenvalues below ``SUPPORT_TOL * (1 + scale)`` are treated as zero, with
-the convention ``0 log 0 = 0``.
+``_support`` is the one support model: eigenvalues at or below
+``SUPPORT_TOL * (1 + max|w|)`` are zero, with ``0 log 0 = 0`` and ``sqrt 0 = 0``.
 """
 
 from __future__ import annotations
@@ -139,31 +139,49 @@ def pinch(state: BlockState) -> np.ndarray:
     return _block_diag(state.a, state.c)
 
 
-def _xlogx_sum(w: np.ndarray) -> np.ndarray:
-    """Tr[X log X] from the eigenvalues w of PSD X, cut at SUPPORT_TOL (1 + max|w|).
+def _support(w: np.ndarray) -> np.ndarray:
+    """Which eigenvalues w of a PSD matrix lie in its support: w > SUPPORT_TOL
+    (1 + max|w|), each member of a stack (leading axes of ``w``) with its own cut.
 
-    ``w`` may carry leading stack axes; each member has its own cut.  A cut
-    eigenvalue is replaced by 1, whose 1 log 1 is exactly 0.
+    Every spectral function that meets log 0 or sqrt 0 decides the kernel here.
     """
-    cut = SUPPORT_TOL * (1.0 + np.max(np.abs(w), axis=-1, keepdims=True))
-    pos = np.where(w > cut, w, 1.0)
+    return w > SUPPORT_TOL * (1.0 + np.max(np.abs(w), axis=-1, keepdims=True))
+
+
+def _masses(x, v) -> np.ndarray:
+    """diag(V* X V), the weights of Hermitian X on the columns of V, over any
+    leading stack axes."""
+    return np.real(np.sum(v.conj() * (x @ v), axis=-2))
+
+
+def _trace_log(x, w, v) -> np.ndarray:
+    """Tr[X log S] from the eigenpairs (w, v) of PSD S, over any leading stack axes.
+
+    The trace runs over the support of S.  Mass of X on ker S, counting only
+    weights above SUPPORT_MASS_TOL, meets log 0: the trace is -inf where that
+    mass is positive (X PSD) and +inf where it is negative.
+    """
+    masses = _masses(x, v)
+    kept = _support(w)
+    finite = np.sum(masses * np.log(np.where(kept, w, 1.0)), axis=-1)
+    heavy = ~kept & (np.abs(masses) > SUPPORT_MASS_TOL)
+    kernel_mass = np.sum(np.where(heavy, masses, 0.0), axis=-1)
+    return np.where(kernel_mass == 0.0, finite, np.copysign(np.inf, -kernel_mass))
+
+
+def _xlogx_sum(w: np.ndarray) -> np.ndarray:
+    """Tr[X log X] from the eigenvalues w of PSD X, over its support, over any
+    leading stack axes.  A cut eigenvalue is replaced by 1, whose 1 log 1 is
+    exactly 0."""
+    pos = np.where(_support(w), w, 1.0)
     return np.sum(pos * np.log(pos), axis=-1)
 
 
 def _spectral_entropy_terms(rho, w_rho, ws, vs) -> np.ndarray:
     """Tr[rho (log rho - log sigma)] from the eigenvalues ``w_rho`` of rho and the
-    eigenpairs (ws, vs) of sigma, over any leading stack axes.
-
-    +inf where the support of rho is not contained in the support of sigma
-    (sigma-eigenvalue below SUPPORT_TOL carrying rho-mass above
-    SUPPORT_MASS_TOL).
-    """
-    # Tr[rho log sigma] via the eigenbasis of sigma: masses_i = (V* rho V)_ii
-    masses = np.real(np.sum(vs.conj() * (rho @ vs), axis=-2))
-    null = ws <= SUPPORT_TOL
-    cross = np.sum(masses * np.log(np.where(null, 1.0, ws)), axis=-1)
-    outside = np.any(null & (masses > SUPPORT_MASS_TOL), axis=-1)
-    return np.where(outside, np.inf, _xlogx_sum(w_rho) - cross)
+    eigenpairs (ws, vs) of sigma, over any leading stack axes; +inf where rho
+    has mass on ker sigma."""
+    return _xlogx_sum(w_rho) - _trace_log(rho, ws, vs)
 
 
 def _entropy_terms(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -273,7 +291,7 @@ def _max_psd_scale(wa, va, b, wc, vc) -> float:
     numerically singular raises instead of returning 0, inf or nan.
     """
     for name, w in (("A", wa), ("C", wc)):
-        if w[0] <= SUPPORT_TOL * w[-1]:
+        if not np.all(_support(w)):
             raise PositivityError(
                 f"boundary ensemble needs {name} positive definite, "
                 f"lambda_min = {w[0]:.3e}"

@@ -16,12 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InfeasibleError, NumericError, SamplingError, _fail_first
-from .linalg import BlockState, _adjoint, _entropy_terms, _floor_mix_weight, _stack
-from .linalg import coherence_entropy
-from .twolevel import TwoLevelParams, _phi, phi
+from .linalg import PSD_TOL, BlockState, _adjoint, _block_diag, _entropy_terms
+from .linalg import _floor_mix_weight, _masses, _stack, coherence_entropy
+from .twolevel import X_DOMAIN_TOL, TwoLevelParams, _phi, phi
 
 COMPLETENESS_TOL = 1e-12
 SV_CUTOFF = 1e-12
+MERGE_TOL = 1e-10  # merged output vs (A, sqrt X; sqrt X, E) and Phi(A, E, X)
 
 
 @dataclass(frozen=True)
@@ -81,36 +82,21 @@ def svd_pinch(state: BlockState) -> PinchedData:
 
 def _svd_pinch(state: BlockState, u, svals, vh) -> PinchedData:
     """``svd_pinch`` from the full SVD B = u diag(svals) vh."""
-    dp, d = state.dim_p, state.dim
-    keep = svals > SV_CUTOFF
-    k = int(np.sum(keep))
-    kraus = []
-    channels = []
-    for j in range(k):
-        uj = u[:, j]
-        vj = vh[j].conj()
-        op = np.zeros((d, d), dtype=complex)
-        op[:dp, :dp] = np.outer(uj, uj.conj())
-        op[dp:, dp:] = np.outer(vj, vj.conj())
-        kraus.append(op)
-        a_pin = float(np.real(uj.conj() @ state.a @ uj))
-        c_pin = float(np.real(vj.conj() @ state.c @ vj))
-        channels.append((a_pin, c_pin, float(svals[j])))
-    # kernel sectors: complements of the retained singular vectors
-    u_perp = u[:, k:]
-    v_perp = vh[k:].conj().T
-    r_p = np.zeros((d, d), dtype=complex)
-    r_p[:dp, :dp] = u_perp @ u_perp.conj().T
-    r_q = np.zeros((d, d), dtype=complex)
-    r_q[dp:, dp:] = v_perp @ v_perp.conj().T
-    kraus.extend([r_p, r_q])
-    channel = _checked_channel(d, d, kraus)
+    k = int(np.sum(svals > SV_CUTOFF))
+    v = _adjoint(vh)
+    # one sector (u_j, v_j) per kept channel, then ker B* in P and ker B in Q:
+    # the complements of the retained singular vectors
+    sectors = [(u[:, j : j + 1], v[:, j : j + 1]) for j in range(k)]
+    sectors += [(u[:, k:], v[:, :0]), (u[:, :0], v[:, k:])]
+    kraus = [_block_diag(x @ _adjoint(x), z @ _adjoint(z)) for x, z in sectors]
+    channel = _checked_channel(state.dim, state.dim, kraus)
+    a_pin, c_pin = _masses(state.a, u[:, :k]), _masses(state.c, v[:, :k])
     kernel_a, kernel_c = (
-        np.linalg.eigvalsh(perp.conj().T @ x @ perp) if perp.shape[1] else np.zeros(0)
-        for x, perp in ((state.a, u_perp), (state.c, v_perp))
+        np.linalg.eigvalsh(_adjoint(perp) @ x @ perp) if perp.shape[1] else np.zeros(0)
+        for x, perp in ((state.a, u[:, k:]), (state.c, v[:, k:]))
     )
     return PinchedData(
-        channels=tuple(channels),
+        channels=tuple(zip(a_pin.tolist(), c_pin.tolist(), svals[:k].tolist())),
         kernel_a=kernel_a,
         kernel_c=kernel_c,
         channel=channel,
@@ -219,7 +205,7 @@ def _validate_merge(a, eps, x, eps_rem, a0) -> tuple:
     floor = a0[..., None]
     message = "block diagonal {} below the floor {}"
     _fail_first(a < floor - 1e-10, DomainError, message, a, floor)
-    bad = (eps < 0.0) | (x < 0.0) | (x > a * eps + 1e-14)
+    bad = (eps < 0.0) | (x < 0.0) | (x > a * eps + X_DOMAIN_TOL)
     message = "block ({}, {}, {}) violates 0 <= x <= a*eps"
     _fail_first(bad, DomainError, message, a, eps, x)
     a_m, e_m, x_m = _merge_sums(a, eps, x, eps_rem, a0)
@@ -305,12 +291,12 @@ def merge_channel(spec: MergeSpec) -> MergeResult:
     d_in = np.diag(np.diag(m_in))
     m_out = channel.apply(m_in)
     active = np.array([[a_m, math.sqrt(x_m)], [math.sqrt(x_m), e_m]])
-    if np.max(np.abs(m_out[:2, :2] - active)) > 1e-10:
+    if np.max(np.abs(m_out[:2, :2] - active)) > MERGE_TOL:
         raise NumericError("merged active block does not match (A, sqrt(X); sqrt(X), E)")
     d_out = channel.apply(d_in)
     out_entropy = _entropy_terms(m_out, d_out)
     right = phi(a_m, e_m, x_m)
-    if abs(out_entropy - right) > 1e-10 * (1.0 + abs(right)):
+    if abs(out_entropy - right) > MERGE_TOL * (1.0 + abs(right)):
         raise NumericError("merged channel output entropy does not equal Phi(A, E, X)")
 
     left = sum(phi(a, eps, x) for a, eps, x in blocks)
@@ -415,7 +401,7 @@ def sample_feasible(
             b = np.zeros((d_p, d_q), dtype=complex)
 
         state = BlockState(dim_p=d_p, dim_q=d_q, a=a, b=b, c=c_blk)
-        if np.linalg.eigvalsh(state.to_matrix())[0] >= -1e-12:
+        if np.linalg.eigvalsh(state.to_matrix())[0] >= -PSD_TOL:
             return state
     raise SamplingError(
         f"no feasible state found in {max_attempts} attempts "
@@ -484,8 +470,7 @@ def _pipeline(state: BlockState, a0, svd) -> tuple:
     u, s, vh = svd
     gram = [w @ _adjoint(w) - np.eye(w.shape[-1]) for w in (u, _adjoint(vh))]
     _check_completeness(np.sqrt(sum(np.sum(np.abs(g) ** 2, axis=(-2, -1)) for g in gram)))
-    a = np.einsum("...kj,...kl,...lj->...j", u.conj(), state.a, u).real
-    c = np.einsum("...jk,...kl,...jl->...j", vh, state.c, vh.conj()).real
+    a, c = _masses(state.a, u), _masses(state.c, _adjoint(vh))
     s_p = _pad(s, state.dim_p)
     keep = s_p > SV_CUTOFF
     eps, x = np.where(keep, _pad(c, state.dim_p), 0.0), np.where(keep, s_p * s_p, 0.0)
@@ -498,9 +483,9 @@ def _pipeline(state: BlockState, a0, svd) -> tuple:
     a_out, z_out = np.sum(weight * a, axis=-1), np.sum(alphas * np.sqrt(x), axis=-1)
     miss = np.abs([a_out - a_m, z_out - np.sqrt(x_m)]).max(axis=0)
     message = "merged active block does not match (A, sqrt(X); sqrt(X), E)"
-    _fail_first(miss > 1e-10, NumericError, message)
+    _fail_first(miss > MERGE_TOL, NumericError, message)
     merged = phi(a_m, e_m, x_m)
-    wrong = np.abs(_phi(a_out, e_m, np.abs(z_out) ** 2) - merged) > 1e-10 * (1 + merged)
+    wrong = np.abs(_phi(a_out, e_m, np.abs(z_out) ** 2) - merged) > MERGE_TOL * (1 + merged)
     message = "merged channel output entropy does not equal Phi(A, E, X)"
     _fail_first(wrong, NumericError, message)
     return pinched, merged

@@ -15,7 +15,7 @@ import numpy as np
 
 from .bkm import PETZ_FUNCTIONS, _check_midpoint, _midpoint_margins
 from .bounds import _BlockSpectra, _bounds
-from .dephasing import _production, _rate
+from .dephasing import _production
 from .errors import CeboundError, DomainError
 from .linalg import (
     BlockState,
@@ -24,6 +24,7 @@ from .linalg import (
     _join_spectra,
     _pythagorean,
     _stack,
+    _trace_log,
     pinch,
 )
 from .variational import _pipeline
@@ -69,13 +70,10 @@ def _stack_margins(state: BlockState, sigma: BlockState) -> dict:
     margins["midpoint"] = np.min(mids["bkm"], axis=-1)
     margins.update({f"petz_{tag}": np.min(v, axis=-1) for tag, v in mids.items()})
 
-    # gamma = 1, so alpha = e^{-t}, and t = 0 gives rho itself
+    # gamma = 1: rate alpha Tr[Y log rho_t], alpha = e^{-t}; t = 0 gives rho itself
     alphas = np.array([math.exp(-t) for t in DEPHASING_TIMES[1:]])
     w_t, v_t = np.linalg.eigh(m[:, None] + alphas[:, None, None] * y[:, None])
-    rates = [
-        _rate(1.0, 1.0, y, w_rho, v_rho),
-        *_rate(1.0, alphas, y[:, None], w_t, v_t).T,
-    ]
+    rates = [_trace_log(y, w_rho, v_rho), *(alphas * _trace_log(y[:, None], w_t, v_t)).T]
     margins["dephasing"] = np.min(
         [_production(1.0, t, rate, bounds.bkm).margin
          for t, rate in zip(DEPHASING_TIMES, rates)],

@@ -214,3 +214,72 @@ def test_write_orbit_csv(tmp_path):
     # generic ginibre state fails the boundary gate: empty log_bound column
     if log_enhanced_bound(cfg, 0.0) is None:
         assert first[4] == ""
+
+
+# --------------------------------------------------------------- PSD edge
+
+def _boundary_3_2():
+    return random_block_state(3, 2, 3, "boundary", a0=0.2, eps_q=0.2 / 3)
+
+
+def test_rounding_sign_at_the_psd_edge_moves_nothing():
+    # B scaled by 1 +- 1e-15 puts lambda_min(rho) just below or just above 0;
+    # under the one support model both sides are the same singular state
+    from cebound import coherence_entropy, fidelity_bound
+
+    base = two_level_pure(0.25)
+    states = [BlockState(1, 1, base.a, f * base.b, base.c) for f in (1 + 1e-15, 1 - 1e-15)]
+    assert [np.sign(np.linalg.eigvalsh(s.to_matrix())[0]) for s in states] == [-1, 1]
+    rates = [analytic_rate(OrbitConfig(s, 1.0, 1.0, 2), 0.0) for s in states]
+    assert rates == [math.inf, math.inf]
+    for fn in (fidelity_bound, coherence_entropy):
+        plus, minus = (fn(s) for s in states)
+        assert abs(plus - minus) <= 1e-15, fn.__name__
+
+
+def test_orbit_trace_t0_rate_is_inf_on_a_singular_state_only(tmp_path):
+    cfg = OrbitConfig(state=_boundary_3_2(), gamma=1.5, t_max=2.0, steps=8)
+    rows = orbit_trace(cfg)
+    assert rows[0].rate == math.inf and rows[0].margin == math.inf
+    assert all(math.isfinite(r.rate) and math.isfinite(r.margin) for r in rows[1:])
+    path = tmp_path / "orbit.csv"
+    write_orbit_csv(path, rows)
+    first = path.read_text().splitlines()[1].split(",")
+    assert (first[2], first[5]) == ("inf", "inf")
+    for s in random_states(6, (1, 2, 3), 840):
+        rows = orbit_trace(OrbitConfig(state=s, gamma=1.5, t_max=2.0, steps=8))
+        assert all(math.isfinite(r.rate) and math.isfinite(r.margin) for r in rows)
+
+
+def _mp_rate(s, gamma, t):
+    """Gamma alpha Tr[Y log(M + alpha Y)] at the working mpmath precision."""
+    from mpmath import mp
+
+    m, y = (mp.matrix(x.tolist()) for x in (pinch(s), s.off_diagonal()))
+    alpha = mp.exp(-gamma * mp.mpf(t))
+    w, q = mp.eighe(m + alpha * y)
+    weights = [(q[:, i].H * y * q[:, i])[0].real for i in range(len(w))]
+    return gamma * alpha * sum(x * mp.log(lam) for x, lam in zip(weights, w))
+
+
+# Near the edge lambda_min(rho_t) ~ gamma t <v, M v>, and eigh resolves it to
+# about eps_mach absolute, so the relative error of log lambda_min, and of the
+# rate, grows like eps_mach / t.  Measured relative errors times t on this and
+# two other boundary states, k = 2..8: at most 1.6e-16; the bound eps_mach / t
+# is 2.2e-16 / t.
+@pytest.mark.parametrize("gamma", [1.0, 1.5])
+def test_rate_near_the_edge_follows_mpmath(gamma):
+    from mpmath import workdps
+
+    s = _boundary_3_2()
+    cfg = OrbitConfig(state=s, gamma=gamma, t_max=1.0, steps=2)
+    exact = []
+    with workdps(50):
+        for k in range(2, 9):
+            t = 10.0**-k
+            exact.append(float(_mp_rate(s, gamma, t)))
+            rel = abs(analytic_rate(cfg, t) - exact[-1]) / exact[-1]
+            assert rel <= np.finfo(float).eps / t, (k, rel)
+    # the exact rate grows like log(1/t): equal steps per decade from k = 4 on
+    steps = np.diff(exact)[2:]
+    assert np.all(steps > 0) and np.ptp(steps) <= 0.05 * np.min(steps)

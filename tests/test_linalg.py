@@ -103,6 +103,32 @@ def test_pinch_off_blocks_zero_and_idempotent():
     assert np.array_equal(pinch(block_decompose(m, 3)), m)
 
 
+# --------------------------------------------------------- support model
+
+def test_support_cut_is_relative_per_member():
+    from cebound.linalg import SUPPORT_TOL, _support
+
+    # cuts SUPPORT_TOL (1 + 1) and SUPPORT_TOL (1 + 1.5e-12): the same 1.5e-12
+    # is cut in the first member and kept in the second
+    w = np.array([[-1e-17, 1.5 * SUPPORT_TOL, 1.0], [1e-300, 0.5e-12, 1.5e-12]])
+    assert _support(w).tolist() == [[False, False, True], [False, False, True]]
+
+
+def test_trace_log_meets_log_zero_with_the_sign_of_the_kernel_mass():
+    from cebound.linalg import _trace_log
+
+    w, v = np.array([1e-17, 0.4, 0.6]), np.eye(3)
+    on_support = np.diag([1e-11, 0.3, 0.7])  # kernel weight below SUPPORT_MASS_TOL
+    expected = 0.3 * math.log(0.4) + 0.7 * math.log(0.6)
+    assert _trace_log(on_support, w, v) == pytest.approx(expected, rel=1e-15)
+    psd = np.diag([0.1, 0.2, 0.7])
+    assert _trace_log(psd, w, v) == -np.inf
+    assert _trace_log(-psd, w, v) == np.inf
+    stacked = _trace_log(np.stack([on_support, psd, -psd]), np.stack([w] * 3), v)
+    assert stacked[0] == pytest.approx(expected, rel=1e-15)
+    assert stacked[1:].tolist() == [-np.inf, np.inf]
+
+
 # ----------------------------------------------------- relative entropy
 
 def test_relative_entropy_self_is_zero():
