@@ -197,16 +197,6 @@ def bkm_hessian(n, y) -> float:
     return petz_form(n, y, "bkm")
 
 
-def _midpoint_inputs(state: BlockState):
-    """M = pinch(rho), Y = rho - M and the spectrum of M, checked by
-    ``_check_midpoint``."""
-    m = pinch(state)
-    y = state.off_diagonal()
-    w_m = np.linalg.eigvalsh(m)
-    _check_midpoint(w_m[0], np.linalg.eigvalsh(m + y)[0])
-    return m, y, w_m
-
-
 def _check_midpoint(m_min, rho_min) -> None:
     """Raise unless M clears POSITIVITY_FLOOR and M +- Y is positive semidefinite,
     given lambda_min of M and of M + Y = rho (arrays over a stack, or scalars).
@@ -246,7 +236,8 @@ def midpoint_margins(state: BlockState, t_grid, tags) -> dict:
     every tag must satisfy the block-sign symmetry g_{M+tY} = g_{M-tY} to
     SYMMETRY_TOL.
     """
-    m, y, _ = _midpoint_inputs(state)
+    m, y = pinch(state), state.off_diagonal()
+    _check_midpoint(np.linalg.eigvalsh(m)[0], np.linalg.eigvalsh(m + y)[0])
     # Y is exactly Hermitian and vanishes on the diagonal blocks, so each
     # M +- tY has the Hermitian defect of M and at least its scale.
     m = validate_hermitian(m, "M")

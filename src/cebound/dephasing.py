@@ -9,15 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .bkm import _midpoint_inputs
+from .bkm import _check_midpoint
 from .bounds import _block_spectra, _log_bound, _operator_bound, _optional
 from .errors import DomainError
-from .linalg import BlockState, _trace_log, _xlogx_sum
+from .linalg import BlockState, _trace_log, _xlogx_sum, pinch
 
 RATE_REL_TOL = 1e-6
 
@@ -26,10 +25,9 @@ RATE_REL_TOL = 1e-6
 class OrbitConfig:
     """A dephasing run: initial split state, rate gamma, horizon, grid size.
 
-    M = pinch(rho) is constant along the orbit, so M, Y = rho - M, Tr[M log M]
-    (from the spectrum of M that the positivity check takes), and the BKM form
-    and the log-boundary bound, from one eigendecomposition each of A and C,
-    are computed at most once per config.
+    M = pinch(rho) is constant along the orbit, so M, Y = rho - M, Tr[M log M],
+    the BKM form and the log-boundary bound are computed once per config, from
+    one eigendecomposition each of A and C.
     """
 
     state: BlockState
@@ -40,28 +38,26 @@ class OrbitConfig:
     y: np.ndarray = field(init=False, repr=False, compare=False)
     # Tr[Y log M] = 0 because log M is block diagonal, so Tr[rho log M] = Tr[M log M]
     tr_m_log_m: float = field(init=False, repr=False, compare=False)
+    bkm: float = field(init=False, repr=False, compare=False)
+    log_bound: float | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # nan fails every comparison, so it is rejected with inf
         finite = 0.0 < self.gamma < math.inf and 0.0 < self.t_max < math.inf
         if not finite or self.steps < 1:
             raise DomainError("need finite gamma > 0, finite t_max > 0, steps >= 1")
-        m, y, w_m = _midpoint_inputs(self.state)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "tr_m_log_m", float(_xlogx_sum(w_m)))
-
-    @cached_property
-    def _spectra(self):
-        return _block_spectra(self.state)
-
-    @cached_property
-    def bkm(self) -> float:
-        return float(_operator_bound(self._spectra, self.state.b, regularize=False)[0])
-
-    @cached_property
-    def log_bound(self) -> float | None:
-        return _optional(_log_bound(self._spectra.wa[0], self.state))
+        state = self.state
+        sp = _block_spectra(state)
+        m, y = pinch(state), state.off_diagonal()
+        _check_midpoint(min(sp.wa[0], sp.wc[0]), np.linalg.eigvalsh(m + y)[0])
+        for name, value in (
+            ("m", m),
+            ("y", y),
+            ("tr_m_log_m", float(_xlogx_sum(sp.wa) + _xlogx_sum(sp.wc))),
+            ("bkm", float(_operator_bound(sp, state.b, regularize=False)[0])),
+            ("log_bound", _optional(_log_bound(sp.wa[0], state))),
+        ):
+            object.__setattr__(self, name, value)
 
 
 def orbit_state(cfg: OrbitConfig, t: float) -> np.ndarray:
@@ -71,22 +67,25 @@ def orbit_state(cfg: OrbitConfig, t: float) -> np.ndarray:
     return cfg.m + math.exp(-cfg.gamma * t) * cfg.y
 
 
-def _entropy_at_alpha(cfg: OrbitConfig, alpha: float) -> float:
-    """D(M + alpha Y || M) = Tr[rho log rho] - Tr[M log M]."""
-    w = np.linalg.eigvalsh(cfg.m + alpha * cfg.y)
-    return float(_xlogx_sum(w)) - cfg.tr_m_log_m
+def _orbit_terms(m, y, gamma: float, times) -> tuple:
+    """(Tr[rho_t log rho_t], -dD/dt) at each t of ``times`` (last axis), over any
+    leading stack axes of M and Y, from one stacked eigh of rho_t = M + alpha Y.
+
+    -dD/dt = Gamma alpha Tr[Y log rho_t] with alpha = e^{-Gamma t}: the term
+    -Tr[Y log M] of the derivative vanishes, since log M is block diagonal.  On
+    ker rho_t, <v, Y v> = -<v, M v> < 0, so the rate at a singular rho_t (a pure
+    or boundary state at t = 0) is +inf.
+    """
+    alphas = np.array([math.exp(-gamma * t) for t in times])
+    y = y[..., None, :, :]
+    w, v = np.linalg.eigh(m[..., None, :, :] + alphas[:, None, None] * y)
+    return _xlogx_sum(w), gamma * alphas * _trace_log(y, w, v)
 
 
 def analytic_rate(cfg: OrbitConfig, t: float) -> float:
-    """-dD/dt = Gamma alpha Tr[Y log(M + alpha Y)], alpha = e^{-Gamma t}.
-
-    The term -Tr[Y log M] of the derivative vanishes: log M is block diagonal.
-    On ker rho_t, <v, Y v> = -<v, M v> < 0, so the rate at a singular rho_t
-    (a pure or boundary state at t = 0) is +inf.
-    """
-    alpha = math.exp(-cfg.gamma * t)
-    w, v = np.linalg.eigh(cfg.m + alpha * cfg.y)
-    return cfg.gamma * alpha * float(_trace_log(cfg.y, w, v))
+    """-dD/dt = Gamma alpha Tr[Y log(M + alpha Y)], alpha = e^{-Gamma t}; +inf
+    at a singular rho_t (see ``_orbit_terms``)."""
+    return float(_orbit_terms(cfg.m, cfg.y, cfg.gamma, (t,))[1][0])
 
 
 def fd_rate(cfg: OrbitConfig, t: float) -> float:
@@ -98,7 +97,8 @@ def fd_rate(cfg: OrbitConfig, t: float) -> float:
     h = min(1e-6, 1e-3 / cfg.gamma)
 
     def d_at(s: float) -> float:
-        return _entropy_at_alpha(cfg, math.exp(-cfg.gamma * s))
+        # D(rho_s || M) = Tr[rho_s log rho_s] - Tr[M log M]
+        return float(_orbit_terms(cfg.m, cfg.y, cfg.gamma, (s,))[0][0]) - cfg.tr_m_log_m
 
     if t < h:
         return -(-3.0 * d_at(t) + 4.0 * d_at(t + h) - d_at(t + 2.0 * h)) / (2.0 * h)
@@ -157,16 +157,15 @@ def orbit_trace(cfg: OrbitConfig) -> list:
     if cfg.steps < 2:
         raise DomainError("orbit_trace needs steps >= 2")
     rows = []
+    # row by row: one stack of every rho_t would hold steps + 1 matrices at once
     for k in range(cfg.steps + 1):
         t = k * cfg.t_max / cfg.steps
-        alpha = math.exp(-cfg.gamma * t)
-        w, v = np.linalg.eigh(cfg.m + alpha * cfg.y)
-        rate = cfg.gamma * alpha * float(_trace_log(cfg.y, w, v))
-        point = _production(cfg.gamma, t, rate, cfg.bkm)
+        tr_log, rate = _orbit_terms(cfg.m, cfg.y, cfg.gamma, (t,))
+        point = _production(cfg.gamma, t, float(rate[0]), cfg.bkm)
         rows.append(
             OrbitRow(
                 t=t,
-                entropy=float(_xlogx_sum(w)) - cfg.tr_m_log_m,
+                entropy=float(tr_log[0]) - cfg.tr_m_log_m,
                 rate=point.rate,
                 bkm_bound=point.bound,
                 log_bound=log_enhanced_bound(cfg, t),

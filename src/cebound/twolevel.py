@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bkm import log_mean_kernel
+from .bkm import _log_mean, log_mean_kernel
 from .errors import DomainError, _fail_first
 
 X_DOMAIN_TOL = 1e-14
@@ -69,7 +69,8 @@ def _phi(a, eps, x):
 
 
 def phi_dx(a: float, eps: float, x: float) -> float:
-    """d Phi / dx = log(lam_+/lam_-)/sqrt((a-eps)^2 + 4x).
+    """d Phi / dx = log(lam_+/lam_-)/(lam_+ - lam_-) = L(lam_+, lam_-), the BKM
+    kernel at the block's eigenvalues.
 
     At x = 0 this equals L(a, eps).  At the boundary x = a*eps (lam_- = 0)
     the derivative diverges and +inf is returned.
@@ -77,20 +78,19 @@ def phi_dx(a: float, eps: float, x: float) -> float:
     _check_domain(a, eps, x)
     if a <= 0.0 or eps <= 0.0:
         raise DomainError("phi_dx requires a > 0 and eps > 0")
-    if x == 0.0:
-        return log_mean_kernel(a, eps)
-    lam_plus, lam_minus, root = _eigenvalues(a, eps, x)
-    if lam_minus <= 0.0:
-        return float("inf")
-    return math.log(lam_plus / lam_minus) / root
+    lam_plus, lam_minus, _ = _eigenvalues(a, eps, x)
+    return float(_log_mean(lam_plus, lam_minus))
 
 
 def phi_dxx(a: float, eps: float, x: float) -> float:
-    """d^2 Phi / dx^2 = 4 (sinh(2u)/2 - u) / D^3 with u = log(lam_+/lam_-)/2,
-    D = lam_+ - lam_-.  Strictly positive on the interior; +inf at x = a*eps.
+    """d^2 Phi / dx^2 = 4 (sinh(2u)/2 - u) / D^3 with D = lam_+ - lam_- and
+    u = atanh(D/(a + eps)) = log(lam_+/lam_-)/2.  Strictly positive on the
+    interior; +inf at x = a*eps.
 
-    For u < 1e-4 the numerator is evaluated by its odd series
-    2u^3/3 + 2u^5/15 + 4u^7/315 to avoid cancellation.
+    u/D = L(lam_+, lam_-)/2 is taken from the kernel, which stays accurate as
+    D -> 0 (u/D -> 1/(a + eps)) and as lam_- -> 0.  For u < 1e-2 the numerator
+    is the odd series 2u^3/3 + 2u^5/15 + 4u^7/315 + 2u^9/2835, written in u/D,
+    so D = 0 needs no special case.
     """
     _check_domain(a, eps, x)
     if a <= 0.0 or eps <= 0.0:
@@ -98,15 +98,12 @@ def phi_dxx(a: float, eps: float, x: float) -> float:
     lam_plus, lam_minus, d = _eigenvalues(a, eps, x)
     if lam_minus <= 0.0:
         return float("inf")
-    u = 0.5 * math.log(lam_plus / lam_minus)
-    if d <= 0.0:
-        d = 2.0 * math.sqrt(lam_plus * lam_minus) * math.sinh(u)
-        if d <= 0.0:
-            return float("inf")
-    if u < 1e-4:
-        numer = 2.0 * u**3 / 3.0 + 2.0 * u**5 / 15.0 + 4.0 * u**7 / 315.0
-        return 4.0 * numer / d**3
-    return 4.0 * (0.5 * math.sinh(2.0 * u) - u) / d**3
+    u_over_d = 0.5 * float(_log_mean(lam_plus, lam_minus))
+    u = d * u_over_d
+    if u < 1e-2:
+        series = 2.0 / 3.0 + 2.0 * u**2 / 15.0 + 4.0 * u**4 / 315.0 + 2.0 * u**6 / 2835.0
+        return float(4.0 * u_over_d**3 * series)
+    return float(4.0 * (0.5 * math.sinh(2.0 * u) - u) / d**3)
 
 
 class ChainCheck(NamedTuple):

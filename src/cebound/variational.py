@@ -23,6 +23,7 @@ from .twolevel import X_DOMAIN_TOL, TwoLevelParams, _phi, phi
 COMPLETENESS_TOL = 1e-12
 SV_CUTOFF = 1e-12
 MERGE_TOL = 1e-10  # merged output vs (A, sqrt X; sqrt X, E) and Phi(A, E, X)
+MAX_ATTEMPTS = 10_000  # rejection-sampling draws of sample_feasible
 
 
 @dataclass(frozen=True)
@@ -257,38 +258,26 @@ def merge_channel(spec: MergeSpec) -> MergeResult:
     remainder coordinate q_rem is last.  Output layout: p = 0, q = 1,
     spectators s_j = 2 + j.
     """
-    spec.validate()
-    blocks = spec.blocks
-    k = len(blocks)
-    a_m, e_m, x_m = spec.merged()
-    a, _, x, _, _ = spec._stacked()
-    alphas = _merge_alphas(a, x, np.array([a_m]), np.array([x_m]))[0]
+    a, eps, x, eps_rem, a0 = spec._stacked()
+    sums = _validate_merge(a, eps, x, eps_rem, a0)
+    alphas = _merge_alphas(a, x, sums[0], sums[2])[0]
+    a, eps, x = a[0], eps[0], x[0]
+    a_m, e_m, x_m = (float(v[0]) for v in sums)
 
-    dim_in = 2 * k + 1
-    dim_out = 2 + k
-    kraus = []
-    for j, alpha in enumerate(alphas):
-        k_a = np.zeros((dim_out, dim_in), dtype=complex)
-        k_a[0, 2 * j] = alpha
-        k_a[1, 2 * j + 1] = 1.0
-        kraus.append(k_a)
-        k_s = np.zeros((dim_out, dim_in), dtype=complex)
-        k_s[2 + j, 2 * j] = math.sqrt(max(0.0, 1.0 - abs(alpha) ** 2))
-        kraus.append(k_s)
-    k_rem = np.zeros((dim_out, dim_in), dtype=complex)
-    k_rem[1, 2 * k] = 1.0
-    kraus.append(k_rem)
-    channel = _checked_channel(dim_in, dim_out, kraus)
+    # Kraus 2j: p_j -> alpha_j p, q_j -> q; 2j+1: p_j -> s_j; 2k: q_rem -> q
+    k = len(a)
+    j = np.arange(k)
+    kraus = np.zeros((2 * k + 1, k + 2, 2 * k + 1), dtype=complex)
+    kraus[2 * j, 0, 2 * j] = alphas
+    kraus[2 * j, 1, 2 * j + 1] = 1.0
+    kraus[2 * j + 1, 2 + j, 2 * j] = np.sqrt(np.maximum(0.0, 1.0 - np.abs(alphas) ** 2))
+    kraus[2 * k, 1, 2 * k] = 1.0
+    channel = _checked_channel(2 * k + 1, k + 2, list(kraus))
 
     # step 5: the output active block must be ((A, sqrt(X)), (sqrt(X), E))
-    m_in = np.zeros((dim_in, dim_in), dtype=complex)
-    for j, (a, eps, x) in enumerate(blocks):
-        m_in[2 * j, 2 * j] = a
-        m_in[2 * j + 1, 2 * j + 1] = eps
-        m_in[2 * j, 2 * j + 1] = math.sqrt(x)
-        m_in[2 * j + 1, 2 * j] = math.sqrt(x)
-    m_in[2 * k, 2 * k] = spec.eps_rem
-    d_in = np.diag(np.diag(m_in))
+    d_in = np.diag(np.append(np.stack([a, eps], axis=-1), spec.eps_rem)).astype(complex)
+    m_in = d_in.copy()
+    m_in[2 * j, 2 * j + 1] = m_in[2 * j + 1, 2 * j] = np.sqrt(x)
     m_out = channel.apply(m_in)
     active = np.array([[a_m, math.sqrt(x_m)], [math.sqrt(x_m), e_m]])
     if np.max(np.abs(m_out[:2, :2] - active)) > MERGE_TOL:
@@ -299,7 +288,7 @@ def merge_channel(spec: MergeSpec) -> MergeResult:
     if abs(out_entropy - right) > MERGE_TOL * (1.0 + abs(right)):
         raise NumericError("merged channel output entropy does not equal Phi(A, E, X)")
 
-    left = sum(phi(a, eps, x) for a, eps, x in blocks)
+    left = sum(phi(a, eps, x).tolist())
     return MergeResult(
         channel=channel,
         merged=TwoLevelParams(a=a_m, eps=e_m, x=x_m),
@@ -358,22 +347,16 @@ def optimizer(a0: float, eps: float, c: float, d_p: int, d_q: int) -> OptimizerR
 
 
 def sample_feasible(
-    a0: float,
-    eps: float,
-    c: float,
-    d_p: int,
-    d_q: int,
-    rng: np.random.Generator,
-    max_attempts: int = 10_000,
+    a0: float, eps: float, c: float, d_p: int, d_q: int, rng: np.random.Generator
 ) -> BlockState:
     """Random state with lambda_min(A) >= a0, Tr C = eps, ||B||_F^2 = c.
 
     Ginibre blocks, with A convex-mixed toward the scaled identity until the
     floor holds and B rescaled to hit c exactly; draws failing assembled
-    positivity are rejected.
+    positivity are rejected, up to MAX_ATTEMPTS draws.
     """
     target_a = 1.0 - eps
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         g = rng.standard_normal((d_p, d_p)) + 1j * rng.standard_normal((d_p, d_p))
         a_raw = g @ g.conj().T
         a_raw *= target_a / np.trace(a_raw).real
@@ -404,7 +387,7 @@ def sample_feasible(
         if np.linalg.eigvalsh(state.to_matrix())[0] >= -PSD_TOL:
             return state
     raise SamplingError(
-        f"no feasible state found in {max_attempts} attempts "
+        f"no feasible state found in {MAX_ATTEMPTS} attempts "
         f"(a0={a0}, eps={eps}, c={c}, dims=({d_p},{d_q}))"
     )
 

@@ -26,7 +26,7 @@ from cebound import (
     two_level_pure,
 )
 from cebound.bkm import log_mean_kernel
-from cebound.linalg import pinch
+from cebound.linalg import SUPPORT_TOL, pinch
 
 from conftest import random_states
 
@@ -165,25 +165,32 @@ def test_fidelity_bound_margin_random():
 
 
 def _mp_fidelity_bound(s):
-    """-2 log F(rho, pinch(rho)) at the working mpmath precision."""
+    """-2 log F(rho, pinch(rho)) at the working mpmath precision.
+
+    Its square roots apply the support model to the oracle's own eigenvalues:
+    lambda > SUPPORT_TOL (1 + max|lambda|) is kept, the rest count as 0.
+    """
     from mpmath import mp
+
+    def support_sqrt(w):
+        cut = SUPPORT_TOL * (1 + max(abs(lam) for lam in w))
+        return [mp.sqrt(lam) if lam > cut else mp.mpf(0) for lam in w]
 
     def psd_sqrt(h):
         w, v = mp.eighe(mp.matrix(np.asarray(h).tolist()))
-        return v * mp.diag([mp.sqrt(max(lam, 0)) for lam in w]) * v.H
+        return v * mp.diag(support_sqrt(w)) * v.H
 
     root = psd_sqrt(pinch(s))
     inner = root * mp.matrix(s.to_matrix().tolist()) * root
-    f = sum(mp.sqrt(max(lam, 0)) for lam in mp.eighe(inner, eigvals_only=True))
+    f = sum(support_sqrt(mp.eighe(inner, eigvals_only=True)))
     return -2 * mp.log(f) if f < 1 else mp.mpf(0)
 
 
 # A boundary state sits on the PSD edge: rho has an eigenvalue of order
-# +-1e-17.  fidelity_bound cuts it with the support model, but this oracle
-# takes the 50-digit square root of the float input's own eigenvalue, of order
-# 3e-9, so the residual is the oracle's: measured 3.97e-9 on boundary states
-# (4.74e-9 when the float path also took that square root), 3.7e-15 on ginibre.
-@pytest.mark.parametrize("ensemble, tol", [("ginibre", 1e-13), ("boundary", 5e-9)])
+# +-1e-17, so the inner matrix has one too, whose square root would be of
+# order 3e-9.  Both sides cut it by the same support rule.  Measured worst:
+# 1.5e-15 on boundary states, 3.7e-15 on ginibre.
+@pytest.mark.parametrize("ensemble, tol", [("ginibre", 1e-13), ("boundary", 1e-13)])
 def test_fidelity_bound_matches_mpmath(ensemble, tol):
     from mpmath import workdps
 

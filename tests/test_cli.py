@@ -96,7 +96,7 @@ def test_verify_trial_eigensolver_budget(lapack_calls):
     # one trial: 2 eigensolver calls and 1 SVD to sample its three states (the
     # boundary state reuses the ginibre draw, and a fresh draw is not
     # re-validated), and 8 stacked calls (A, C, rho, the fidelity, the
-    # midpoint grid, two dephasing times, the two blocks of sigma) plus 1 SVD
+    # midpoint grid, the three dephasing times, the two blocks of sigma) plus 1 SVD
     # of B, which also serve the SVD pinching and the merge: 10 and 2, against
     # 12 when each draw was validated, 17 when the ginibre state was drawn
     # twice and each merge channel took 2 calls per state, and 62 and 5 when
@@ -323,13 +323,14 @@ def test_cli_imports_only_public_names():
 
 def test_orbit_trace_eigensolver_budget(lapack_calls):
     # one eigh per row gives both the entropy and the rate, so 65 rows cost 65
-    # calls, plus 4 for the config (2 to check M and M +- Y, whose spectrum of M
-    # also gives Tr[M log M], and eigh of A and C): 69 calls against 137 with an
-    # eigvalsh and an eigh per row
+    # calls, plus 3 for the config: eigh of A and of C, whose spectra give the
+    # M check, Tr[M log M] and both bounds, and lambda_min of rho for M +- Y.
+    # 68 calls, against 69 when M was diagonalised apart from A and C, and 137
+    # with an eigvalsh and an eigh per row
     state = random_block_state(2, 2, 7)
     lapack_calls.clear()
     orbit_trace(OrbitConfig(state=state, gamma=1.5, t_max=2.0, steps=64))
-    assert lapack_calls["eigh"] + lapack_calls["eigvalsh"] <= 69
+    assert lapack_calls["eigh"] + lapack_calls["eigvalsh"] <= 68
 
 
 def test_report_path_lapack_budget(lapack_calls, tmp_path):

@@ -113,27 +113,58 @@ def test_phi_dxx_finite_difference():
     assert phi_dxx(a, eps, x) == pytest.approx(fd, rel=1e-4)
 
 
+def _phi_mp(a, eps, x):
+    """Phi at the working mpmath precision, from exact float inputs."""
+    from mpmath import log, mpf, sqrt
+
+    a, eps, x = mpf(a), mpf(eps), mpf(x)
+    root = sqrt((a - eps) ** 2 + 4 * x)
+    lam_p = (a + eps + root) / 2
+    lam_m = (a * eps - x) / lam_p
+    terms = [lam_p, lam_m, a, eps]
+    signs = [1, 1, -1, -1]
+    return sum(s * v * log(v) for s, v in zip(signs, terms) if v > 0)
+
+
+def _mp_derivative(a, eps, x, n):
+    """The n-th x-derivative of Phi at 50 digits; forward steps keep x >= 0."""
+    from mpmath import diff, mpf, workdps
+
+    with workdps(50):
+        return diff(lambda v: _phi_mp(a, eps, v), mpf(x), n, direction=1)
+
+
 def test_phi_dxx_series_branch_near_degenerate():
     # a = eps puts u near 0 and exercises the small-u series; double-precision
     # finite differences cannot resolve this regime, so the oracle is a
     # high-precision second derivative of Phi computed with mpmath
-    from mpmath import mp, mpf, sqrt as mpsqrt, log as mplog, diff as mpdiff
-
-    mp.dps = 50
-
-    def phi_mp(a, eps, x):
-        root = mpsqrt((a - eps) ** 2 + 4 * x)
-        lam_p = (a + eps + root) / 2
-        lam_m = (a * eps - x) / lam_p
-        terms = [lam_p, lam_m, a, eps]
-        signs = [1, 1, -1, -1]
-        return sum(s * v * mplog(v) for s, v in zip(signs, terms) if v > 0)
-
     a = eps = 0.4
     x = 1e-10
-    oracle = float(mpdiff(lambda v: phi_mp(mpf(a), mpf(eps), v), mpf(x), 2))
+    oracle = float(_mp_derivative(a, eps, x, 2))
     assert phi_dxx(a, eps, x) == pytest.approx(oracle, rel=1e-10)
     assert phi_dxx(a, eps, x) > 0.0
+
+
+@pytest.mark.parametrize("a, eps", [(0.3, 0.3), (0.4, 0.4 - 1e-12), (0.7, 0.69), (0.5, 0.2)])
+def test_phi_derivatives_match_mpmath_across_u(a, eps):
+    # u = atanh(D/(a + eps)) from 1e-9 to 0.6, across the series switch at
+    # u = 1e-2.  Measured worst: 2.0e-16 for phi_dx, 9.9e-13 for phi_dxx (the
+    # cancellation of sinh(2u)/2 - u just above the switch)
+    for u in np.geomspace(1e-9, 0.6, 40):
+        x = (((a + eps) * math.tanh(u)) ** 2 - (a - eps) ** 2) / 4
+        if x <= 0.0:
+            continue
+        d1, d2 = (_mp_derivative(a, eps, x, n) for n in (1, 2))
+        assert abs(phi_dx(a, eps, x) - d1) <= 4e-16 * d1, (u, x)
+        assert abs(phi_dxx(a, eps, x) - d2) <= 2e-12 * d2, (u, x)
+
+
+@pytest.mark.parametrize("x", [0.0, 1e-300, 1e-30])
+def test_phi_dxx_at_a_degenerate_block(x):
+    # a = eps: D = 2 sqrt(x) -> 0 and u/D -> 1/(a + eps), so phi_dxx -> 1/(3a^3)
+    a = 0.3
+    assert phi_dxx(a, a, x) == pytest.approx(1.0 / (3.0 * a**3), rel=1e-15)
+    assert phi_dxx(a, a, x) == pytest.approx(float(_mp_derivative(a, a, x, 2)), rel=1e-15)
 
 
 def test_phi_dxx_boundary_is_infinite():

@@ -242,6 +242,41 @@ def test_merge_random_sweep():
         assert res.channel.completeness_defect() <= 1e-12
 
 
+def _per_block_kraus(alphas) -> np.ndarray:
+    """Reference: the merge channel's Kraus operators built one block at a time."""
+    k = len(alphas)
+    kraus = []
+    for j, alpha in enumerate(alphas):
+        k_a = np.zeros((k + 2, 2 * k + 1), dtype=complex)
+        k_a[0, 2 * j] = alpha
+        k_a[1, 2 * j + 1] = 1.0
+        k_s = np.zeros((k + 2, 2 * k + 1), dtype=complex)
+        k_s[2 + j, 2 * j] = math.sqrt(max(0.0, 1.0 - abs(alpha) ** 2))
+        kraus += [k_a, k_s]
+    k_rem = np.zeros((k + 2, 2 * k + 1), dtype=complex)
+    k_rem[1, 2 * k] = 1.0
+    return np.stack(kraus + [k_rem])
+
+
+def test_merge_channel_matches_per_block_construction():
+    # the index-array Kraus operators equal the per-block ones; only
+    # sqrt(1 - |alpha|^2) may move, by the rounding of numpy's complex abs
+    rng = np.random.default_rng(204)
+    for _ in range(50):
+        k = int(rng.integers(1, 9))
+        a0 = rng.uniform(0.05, 0.2)
+        blocks = tuple(
+            (a0 + rng.uniform(0.0, 0.3), eps, rng.uniform(0.0, 1.0) * a0 * eps)
+            for eps in rng.uniform(0.0, 0.05, k)
+        )
+        res = merge_channel(MergeSpec(blocks=blocks, eps_rem=rng.uniform(0.0, 0.02), a0=a0))
+        kraus = np.stack(res.channel.kraus)
+        alphas = kraus[2 * np.arange(k), 0, 2 * np.arange(k)]
+        assert np.max(np.abs(kraus - _per_block_kraus(alphas))) <= 1e-15
+    with pytest.raises(DomainError):
+        merge_channel(MergeSpec(blocks=((0.2, 0.03, 0.001),), eps_rem=0.0, a0=0.3))
+
+
 def _bisected_radii(avals, xvals, a_target, x_total):
     """Reference: bisect sum a_j ((1-t) b_j + t)^2 = A over t in [0, 1]."""
     base = [math.sqrt(x / x_total) if x_total > 0.0 else 0.0 for x in xvals]
