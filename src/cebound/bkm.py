@@ -123,8 +123,6 @@ class ChannelWeights:
 
     def reconstruct_form(self) -> float:
         """frob_sq * sum w_{ab} L(a_a, c_b), the BKM form rebuilt from weights."""
-        if self.frob_sq == 0.0:
-            return 0.0
         return self.frob_sq * float(_form(self.weights, self.a_eigen, self.c_eigen))
 
 
@@ -137,14 +135,9 @@ def channel_weights(a, c, b) -> ChannelWeights:
     wc, vc = _eigh_positive(c, "C")
     b = np.asarray(b, dtype=complex)
     frob_sq = float(np.sum(np.abs(b) ** 2))
-    bt = _rotate(va, b, vc)
-    if frob_sq == 0.0:
-        return ChannelWeights(
-            weights=np.zeros(bt.shape), a_eigen=wa, c_eigen=wc, frob_sq=0.0
-        )
-    return ChannelWeights(
-        weights=np.abs(bt) ** 2 / frob_sq, a_eigen=wa, c_eigen=wc, frob_sq=frob_sq
-    )
+    sq = np.abs(_rotate(va, b, vc)) ** 2
+    weights = sq / frob_sq if frob_sq > 0.0 else np.zeros(sq.shape)
+    return ChannelWeights(weights=weights, a_eigen=wa, c_eigen=wc, frob_sq=frob_sq)
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -236,12 +229,11 @@ def midpoint_margins(state: BlockState, t_grid, tags) -> dict:
     every tag must satisfy the block-sign symmetry g_{M+tY} = g_{M-tY} to
     SYMMETRY_TOL.
     """
-    m, y = pinch(state), state.off_diagonal()
-    _check_midpoint(np.linalg.eigvalsh(m)[0], np.linalg.eigvalsh(m + y)[0])
     # Y is exactly Hermitian and vanishes on the diagonal blocks, so each
     # M +- tY has the Hermitian defect of M and at least its scale.
-    m = validate_hermitian(m, "M")
-    y = validate_hermitian(y, "Y")
+    m = validate_hermitian(pinch(state), "M")
+    y = validate_hermitian(state.off_diagonal(), "Y")
+    _check_midpoint(np.linalg.eigvalsh(m)[0], np.linalg.eigvalsh(m + y)[0])
     return _midpoint_margins(m, y, t_grid, tags)
 
 

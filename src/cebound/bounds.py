@@ -2,7 +2,7 @@
 
 Bounds collected per state: the BKM operator bound Tr[B* Omega^{-1}(B)], its
 boundary logarithmic specialization ||B||_F^2 log(a0/eps_Q) (applicable when
-eps_Q <= a0/2), Pinsker 2||B||_1^2, and the fidelity bound -2 log F.
+0 < eps_Q < a0), Pinsker 2||B||_1^2, and the fidelity bound -2 log F.
 """
 
 from __future__ import annotations
@@ -77,11 +77,12 @@ def operator_bound(state: BlockState, regularize: bool = False) -> float:
 
 
 def _log_bound(a0, state: BlockState) -> np.ndarray:
-    """||B||_F^2 log(a0/Tr C) over any leading stack axes; where the hypotheses
-    a0 > 0, Tr C > 0, Tr C <= a0/2 fail, the vacuous bound -inf."""
+    """||B||_F^2 log(a0/Tr C), a0 = lambda_min(A), over any leading stack axes;
+    -inf where 0 < Tr C < a0 fails.  It is below the BKM form, as each eigenvalue
+    pair 1 >= a >= a0 > Tr C >= c > 0 has L(a, c) >= log(a/c) >= log(a0/Tr C)."""
     eps_q = np.trace(state.c, axis1=-2, axis2=-1).real
     frob_sq = np.sum(np.abs(state.b) ** 2, axis=(-2, -1))
-    applies = (a0 > 0.0) & (eps_q > 0.0) & (eps_q <= a0 / 2.0)
+    applies = (0.0 < eps_q) & (eps_q < a0)
     with np.errstate(divide="ignore", invalid="ignore"):  # masked below
         return np.where(applies, frob_sq * np.log(a0 / eps_q), -np.inf)
 
@@ -92,8 +93,8 @@ def _optional(value) -> float | None:
 
 
 def log_boundary_bound(state: BlockState) -> float | None:
-    """||B||_F^2 log(lambda_min(A)/Tr C), or None when the hypotheses
-    lambda_min(A) > 0, Tr C > 0, Tr C <= lambda_min(A)/2 fail."""
+    """||B||_F^2 log(lambda_min(A)/Tr C), or None when the hypothesis
+    0 < Tr C < lambda_min(A) fails."""
     return _optional(_log_bound(np.linalg.eigvalsh(state.a)[0], state))
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .bkm import _check_midpoint
 from .bounds import _block_spectra, _log_bound, _operator_bound, _optional
-from .errors import DomainError
+from .errors import DomainError, _fail_first
 from .linalg import BlockState, _trace_log, _xlogx_sum, pinch
 
 RATE_REL_TOL = 1e-6
@@ -68,18 +68,20 @@ def orbit_state(cfg: OrbitConfig, t: float) -> np.ndarray:
 
 
 def _orbit_terms(m, y, gamma: float, times) -> tuple:
-    """(Tr[rho_t log rho_t], -dD/dt) at each t of ``times`` (last axis), over any
-    leading stack axes of M and Y, from one stacked eigh of rho_t = M + alpha Y.
+    """(Tr[rho_t log rho_t], -dD/dt, the eigenvalues of rho_t) at each t >= 0 of
+    ``times``, over any leading stack axes of M and Y, from one stacked eigh of
+    rho_t = M + alpha Y; the t axis follows the stack axes.
 
     -dD/dt = Gamma alpha Tr[Y log rho_t] with alpha = e^{-Gamma t}: the term
     -Tr[Y log M] of the derivative vanishes, since log M is block diagonal.  On
     ker rho_t, <v, Y v> = -<v, M v> < 0, so the rate at a singular rho_t (a pure
     or boundary state at t = 0) is +inf.
     """
+    _fail_first(np.less(times, 0.0), DomainError, "t must be nonnegative, got {}", times)
     alphas = np.array([math.exp(-gamma * t) for t in times])
     y = y[..., None, :, :]
     w, v = np.linalg.eigh(m[..., None, :, :] + alphas[:, None, None] * y)
-    return _xlogx_sum(w), gamma * alphas * _trace_log(y, w, v)
+    return _xlogx_sum(w), gamma * alphas * _trace_log(y, w, v), w
 
 
 def analytic_rate(cfg: OrbitConfig, t: float) -> float:
@@ -112,7 +114,8 @@ class ProductionPoint(NamedTuple):
 
 
 def _decay(gamma: float, t: float) -> float:
-    """The bound prefactor 2 Gamma e^{-2 Gamma t}."""
+    """The bound prefactor 2 Gamma e^{-2 Gamma t}, for t >= 0."""
+    _fail_first(t < 0.0, DomainError, "t must be nonnegative, got {}", t)
     return 2.0 * gamma * math.exp(-2.0 * gamma * t)
 
 
@@ -123,8 +126,6 @@ def entropy_production(cfg: OrbitConfig, t: float) -> ProductionPoint:
     estimate serves as a sanity check in the test suite.  The bound is
     2 Gamma e^{-2 Gamma t} Tr[B* Omega^{-1}(B)].
     """
-    if t < 0.0:
-        raise DomainError(f"t must be nonnegative, got {t}")
     return _production(cfg.gamma, t, analytic_rate(cfg, t), cfg.bkm)
 
 
@@ -135,9 +136,10 @@ def _production(gamma: float, t: float, rate, bkm) -> ProductionPoint:
 
 
 def log_enhanced_bound(cfg: OrbitConfig, t: float) -> float | None:
-    """2 Gamma e^{-2 Gamma t} ||B||_F^2 log(a0/eps_Q), or None when the
-    boundary hypotheses (a0 > 0, eps_Q <= a0/2) fail."""
-    return None if cfg.log_bound is None else _decay(cfg.gamma, t) * cfg.log_bound
+    """2 Gamma e^{-2 Gamma t} ||B||_F^2 log(a0/eps_Q), a0 = lambda_min(A), or
+    None when the boundary hypothesis 0 < eps_Q < a0 fails."""
+    decay = _decay(cfg.gamma, t)
+    return None if cfg.log_bound is None else decay * cfg.log_bound
 
 
 class OrbitRow(NamedTuple):
@@ -160,7 +162,7 @@ def orbit_trace(cfg: OrbitConfig) -> list:
     # row by row: one stack of every rho_t would hold steps + 1 matrices at once
     for k in range(cfg.steps + 1):
         t = k * cfg.t_max / cfg.steps
-        tr_log, rate = _orbit_terms(cfg.m, cfg.y, cfg.gamma, (t,))
+        tr_log, rate, _ = _orbit_terms(cfg.m, cfg.y, cfg.gamma, (t,))
         point = _production(cfg.gamma, t, float(rate[0]), cfg.bkm)
         rows.append(
             OrbitRow(

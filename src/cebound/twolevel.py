@@ -21,6 +21,7 @@ from .bkm import _log_mean, log_mean_kernel
 from .errors import DomainError, _fail_first
 
 X_DOMAIN_TOL = 1e-14
+PHI_DXX_SERIES_U = 0.07  # series truncation meets sinh cancellation at ~3e-14
 
 
 class TwoLevelParams(NamedTuple):
@@ -88,9 +89,9 @@ def phi_dxx(a: float, eps: float, x: float) -> float:
     interior; +inf at x = a*eps.
 
     u/D = L(lam_+, lam_-)/2 is taken from the kernel, which stays accurate as
-    D -> 0 (u/D -> 1/(a + eps)) and as lam_- -> 0.  For u < 1e-2 the numerator
-    is the odd series 2u^3/3 + 2u^5/15 + 4u^7/315 + 2u^9/2835, written in u/D,
-    so D = 0 needs no special case.
+    D -> 0 (u/D -> 1/(a + eps)) and as lam_- -> 0.  For u < PHI_DXX_SERIES_U
+    the numerator is the odd series 2u^3/3 + 2u^5/15 + 4u^7/315 + 2u^9/2835,
+    written in u/D, so D = 0 needs no special case.
     """
     _check_domain(a, eps, x)
     if a <= 0.0 or eps <= 0.0:
@@ -100,7 +101,7 @@ def phi_dxx(a: float, eps: float, x: float) -> float:
         return float("inf")
     u_over_d = 0.5 * float(_log_mean(lam_plus, lam_minus))
     u = d * u_over_d
-    if u < 1e-2:
+    if u < PHI_DXX_SERIES_U:
         series = 2.0 / 3.0 + 2.0 * u**2 / 15.0 + 4.0 * u**4 / 315.0 + 2.0 * u**6 / 2835.0
         return float(4.0 * u_over_d**3 * series)
     return float(4.0 * (0.5 * math.sinh(2.0 * u) - u) / d**3)

@@ -341,8 +341,8 @@ def equality_state(
 def optimizer(a0: float, eps: float, c: float, d_p: int, d_q: int) -> OptimizerResult:
     """The explicit minimizer of D(rho || pinch(rho)) over states with floor a0,
     leakage eps, and coherence c.  Its value is Phi(a_star, eps, c)."""
-    a_star = _optimizer_hypotheses(a0, eps, c, d_p, d_q)
-    state = equality_state(a0, eps, c, d_p, d_q, phase=0.0)
+    state = equality_state(a0, eps, c, d_p, d_q)
+    a_star = float(state.a[0, 0].real)
     return OptimizerResult(state=state, value=phi(a_star, eps, c), a_star=a_star)
 
 
@@ -353,8 +353,10 @@ def sample_feasible(
 
     Ginibre blocks, with A convex-mixed toward the scaled identity until the
     floor holds and B rescaled to hit c exactly; draws failing assembled
-    positivity are rejected, up to MAX_ATTEMPTS draws.
+    positivity are rejected, up to MAX_ATTEMPTS draws.  Parameters that no
+    state meets raise InfeasibleError before the first draw.
     """
+    _optimizer_hypotheses(a0, eps, c, d_p, d_q)
     target_a = 1.0 - eps
     for _ in range(MAX_ATTEMPTS):
         g = rng.standard_normal((d_p, d_p)) + 1j * rng.standard_normal((d_p, d_p))

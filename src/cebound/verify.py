@@ -50,26 +50,26 @@ def _stack_margins(state: BlockState, sigma: BlockState) -> dict:
     """{inequality: margin of each member} for a stack of states.
 
     ``sigma`` stacks each member's Pythagorean reference (used pinched).  One
-    eigh each of A, C and rho and one SVD of B serve every bound, the M +- Y
-    check, the Pythagorean terms and the SVD pinching and merge, polygon phases
-    included; one stacked eigh of rho_t serves the three dephasing rates.
+    eigh each of A and C and one SVD of B serve every bound, the M +- Y check,
+    the Pythagorean terms and the SVD pinching and merge, polygon phases
+    included; one stacked eigh of rho_t serves the three dephasing rates and,
+    at t = 0, the spectrum of rho.
     """
     sp = _BlockSpectra(*np.linalg.eigh(state.a), *np.linalg.eigh(state.c))
-    rho = state.to_matrix()
-    # eigh, not eigvalsh: eigvalsh moves seed-1 bkm, fidelity and log by <= 3.3e-16
-    w_rho = np.linalg.eigh(rho)[0]
+    m, y = pinch(state), state.off_diagonal()
+    # gamma = 1; the t = 0 row is M + 1 Y, bit for bit rho
+    _, rates, w_orbit = _orbit_terms(m, y, 1.0, DEPHASING_TIMES)
+    w_rho = w_orbit[:, 0]
     _check_midpoint(np.minimum(sp.wa[:, 0], sp.wc[:, 0]), w_rho[:, 0])
+    rho = state.to_matrix()
     svd = np.linalg.svd(state.b)
     bounds, _ = _bounds(state, sp, rho, w_rho, svd[1])
     margins = bounds.margins()
 
-    m, y = pinch(state), state.off_diagonal()
     mids = _midpoint_margins(m, y, MIDPOINT_GRID, tuple(PETZ_FUNCTIONS))
     margins["midpoint"] = np.min(mids["bkm"], axis=-1)
     margins.update({f"petz_{tag}": np.min(v, axis=-1) for tag, v in mids.items()})
 
-    # gamma = 1; the t = 0 row is M + 1 Y, bit for bit rho
-    rates = _orbit_terms(m, y, 1.0, DEPHASING_TIMES)[1]
     margins["dephasing"] = np.min(
         [_production(1.0, t, rate, bounds.bkm).margin
          for t, rate in zip(DEPHASING_TIMES, rates.T)],

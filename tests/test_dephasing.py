@@ -1,6 +1,7 @@
 """Exact dephasing orbit, entropy-production rates, and their lower bounds."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from cebound import (
     orbit_state,
     orbit_trace,
     random_block_state,
+    read_state_json,
     two_level_pure,
     write_orbit_csv,
 )
@@ -58,6 +60,19 @@ def test_orbit_rejects_negative_time():
     cfg = OrbitConfig(state=random_block_state(2, 2, 64), gamma=1.0, t_max=1.0, steps=2)
     with pytest.raises(DomainError):
         orbit_state(cfg, -0.1)
+
+
+@pytest.mark.parametrize(
+    "evaluate", [analytic_rate, fd_rate, log_enhanced_bound, entropy_production]
+)
+def test_orbit_values_reject_negative_time(evaluate):
+    # the orbit is defined for t >= 0 only; these once returned inf, 0.144 and
+    # 0.307 at t = -0.5 on this state, which has a log bound
+    state = read_state_json(Path(__file__).parent / "golden" / "boundary_3_2.json")
+    cfg = OrbitConfig(state=state, gamma=1.5, t_max=2.0, steps=8)
+    assert log_enhanced_bound(cfg, 0.0) is not None
+    with pytest.raises(DomainError, match="t must be nonnegative, got -0.5"):
+        evaluate(cfg, -0.5)
 
 
 def test_orbit_config_validation():
@@ -138,7 +153,7 @@ def test_analytic_rate_matches_fd():
 def test_log_enhanced_gate():
     s = random_block_state(2, 2, 67)  # generic state: Tr C too large
     cfg = OrbitConfig(state=s, gamma=1.0, t_max=1.0, steps=2)
-    if float(np.trace(s.c).real) > float(np.linalg.eigvalsh(s.a)[0]) / 2:
+    if float(np.trace(s.c).real) >= float(np.linalg.eigvalsh(s.a)[0]):
         assert log_enhanced_bound(cfg, 0.0) is None
 
 

@@ -394,6 +394,34 @@ def test_variational_sweep():
     assert res.bound == pytest.approx(phi(0.85, 0.05, 0.02), abs=1e-14)
 
 
+@pytest.mark.parametrize(
+    "params, match",
+    [((0.6, 0.05, 0.0, 2, 2), "floor"), ((0.1, 0.05, 0.9, 2, 2), "coherence")],
+)
+def test_sample_feasible_rejects_infeasible_parameters_before_drawing(params, match):
+    # these once returned a state with lambda_min(A) = 0.475 < a0 = 0.6, and
+    # ran 10,000 draws before a SamplingError
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    with pytest.raises(InfeasibleError, match=match):
+        sample_feasible(*params, rng)
+    assert rng.bit_generator.state == before
+
+
+def test_optimizer_checks_feasibility_once(monkeypatch):
+    calls = []
+    check = variational._optimizer_hypotheses
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(variational, "_optimizer_hypotheses", counted)
+    result = optimizer(0.1, 0.05, 0.02, 2, 2)
+    assert len(calls) == 1
+    assert result.a_star == 1.0 - 0.05 - 0.1
+
+
 def test_sample_feasible_hits_constraints(rng):
     s = sample_feasible(0.1, 0.05, 0.02, 2, 2, rng)
     assert np.linalg.eigvalsh(s.a)[0] >= 0.1 - 1e-12
