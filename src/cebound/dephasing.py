@@ -97,14 +97,13 @@ def fd_rate(cfg: OrbitConfig, t: float) -> float:
     when t < h, where t - h would leave the domain.
     """
     h = min(1e-6, 1e-3 / cfg.gamma)
-
-    def d_at(s: float) -> float:
-        # D(rho_s || M) = Tr[rho_s log rho_s] - Tr[M log M]
-        return float(_orbit_terms(cfg.m, cfg.y, cfg.gamma, (s,))[0][0]) - cfg.tr_m_log_m
-
+    stencil = (t, t + h, t + 2.0 * h) if t < h else (t + h, t - h)
+    # D(rho_s || M) = Tr[rho_s log rho_s] - Tr[M log M], from one eigh stacked over s
+    tr_log = _orbit_terms(cfg.m, cfg.y, cfg.gamma, stencil)[0]
+    d = [float(v) - cfg.tr_m_log_m for v in tr_log]
     if t < h:
-        return -(-3.0 * d_at(t) + 4.0 * d_at(t + h) - d_at(t + 2.0 * h)) / (2.0 * h)
-    return -(d_at(t + h) - d_at(t - h)) / (2.0 * h)
+        return -(-3.0 * d[0] + 4.0 * d[1] - d[2]) / (2.0 * h)
+    return -(d[0] - d[1]) / (2.0 * h)
 
 
 class ProductionPoint(NamedTuple):

@@ -13,13 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleError, PositivityError, ValidationError
+from .errors import DomainError, InfeasibleError, PositivityError, ValidationError, _fail_first
 
 HERM_TOL = 1e-12
 PSD_TOL = 1e-12
 TRACE_TOL = 1e-12
 SUPPORT_TOL = 1e-12
 SUPPORT_MASS_TOL = 1e-10
+ZERO_B_TOL = 1e-14
 
 
 def validate_hermitian(h, name: str = "matrix") -> np.ndarray:
@@ -91,13 +92,15 @@ def _adjoint(x) -> np.ndarray:
 
 
 def _stack(states) -> BlockState:
-    """One BlockState whose blocks carry a leading axis over ``states``.
+    """One BlockState whose blocks carry a leading axis over ``states``, or over
+    their members in turn (member 0 of each, then member 1, ...) for stacks.
 
     The private helpers written over leading stack axes take such a stack
     and return one value per member; the public functions take one state.
     """
     first = states[0]
-    a, b, c = (np.stack([getattr(s, k) for s in states]) for k in "abc")
+    a, b, c = (np.stack([getattr(s, k) for s in states], axis=-3) for k in "abc")
+    a, b, c = (x.reshape((-1,) + x.shape[-2:]) for x in (a, b, c))
     return BlockState(dim_p=first.dim_p, dim_q=first.dim_q, a=a, b=b, c=c)
 
 
@@ -121,16 +124,17 @@ def block_decompose(rho, dim_p: int) -> BlockState:
 
 
 def _split(rho: np.ndarray, dim_p: int) -> BlockState:
-    """The A, B, C blocks of a density matrix known to be valid."""
-    d = rho.shape[0]
+    """The A, B, C blocks of a density matrix known to be valid, over any
+    leading stack axes."""
+    d = rho.shape[-1]
     if not 1 <= dim_p < d:
         raise DomainError(f"dim_p must be in [1, {d - 1}], got {dim_p}")
     return BlockState(
         dim_p=dim_p,
         dim_q=d - dim_p,
-        a=rho[:dim_p, :dim_p].copy(),
-        b=rho[:dim_p, dim_p:].copy(),
-        c=rho[dim_p:, dim_p:].copy(),
+        a=rho[..., :dim_p, :dim_p].copy(),
+        b=rho[..., :dim_p, dim_p:].copy(),
+        c=rho[..., dim_p:, dim_p:].copy(),
     )
 
 
@@ -262,42 +266,64 @@ def _pythagorean(rho, w_rho, m, m_spectra, s_spectra) -> np.ndarray:
         return np.where(finite, d_rs - d_rm - d_ms, np.nan)
 
 
-def _ginibre_density(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+def _gaussian(rng: np.random.Generator, shape) -> np.ndarray:
+    """iid standard complex Gaussian entries: the real parts, then the imaginary."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _floor_mix_weight(w: np.ndarray, level: float, a0: float) -> float:
-    """Least t in [0, 1] with lambda_min((1-t) A + t level I) >= a0.
+def _ginibre_draw(dim_p: int, dim_q: int, seed: int):
+    """random_block_state's Gaussian draw G for ``seed``, and the stream it leaves."""
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), dim_p, dim_q]))
+    return _gaussian(rng, (dim_p + dim_q,) * 2), rng
+
+
+def _ginibre_density(g: np.ndarray) -> np.ndarray:
+    """G G*/Tr(G G*) over any leading stack axes: Hermitian, positive
+    semidefinite and of unit trace by construction, so it is not validated."""
+    rho = g @ _adjoint(g)
+    return rho / _trace(rho)
+
+
+def _trace(x: np.ndarray) -> np.ndarray:
+    """Re Tr X over any leading stack axes, shaped to broadcast against X."""
+    return np.trace(x, axis1=-2, axis2=-1).real[..., None, None]
+
+
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    """||X||_F over any leading stack axes, each member bit-identical to
+    np.linalg.norm's: a dot product of the real parts plus one of the imaginary."""
+    flat = x.reshape(x.shape[:-2] + (1, -1))
+    return np.sqrt(sum(p @ _adjoint(p) for p in (flat.real, flat.imag))[..., 0, 0])
+
+
+def _floor_mix_weight(w: np.ndarray, level: float, a0: float) -> np.ndarray:
+    """Least t in [0, 1] with lambda_min((1-t) A + t level I) >= a0, over any
+    leading stack axes.
 
     ``w`` holds the ascending eigenvalues of A.  The mixed minimum
     (1-t) w[0] + t level is linear in t, so the crossing is exact.  The target
     sits one rounding bound above a0, so that lambda_min of the mixed matrix,
     as computed, clears a0 as well.  t = 1 when even ``level`` misses it.
     """
-    floor = a0 + 4 * len(w) * np.finfo(float).eps * w[-1]
-    if w[0] >= floor:
-        return 0.0
-    if level <= floor:
-        return 1.0
-    return (floor - w[0]) / (level - w[0])
+    floor = a0 + 4 * w.shape[-1] * np.finfo(float).eps * w[..., -1]
+    w0 = w[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore"):  # level = w0 only where unused
+        crossing = (floor - w0) / (level - w0)
+    return np.where(w0 >= floor, 0.0, np.where(level <= floor, 1.0, crossing))
 
 
-def _max_psd_scale(wa, va, b, wc, vc) -> float:
-    """Largest s with [[A, s B], [s B*, C]] PSD, from the spectra of A and C.
+def _max_psd_scale(wa, va, b, wc, vc) -> np.ndarray:
+    """Largest s with [[A, s B], [s B*, C]] PSD, from the spectra of A and C,
+    over any leading stack axes.
 
     By the Schur complement, s = 1/||A^{-1/2} B C^{-1/2}||_2.  A or C that is
     numerically singular raises instead of returning 0, inf or nan.
     """
     for name, w in (("A", wa), ("C", wc)):
-        if not np.all(_support(w)):
-            raise PositivityError(
-                f"boundary ensemble needs {name} positive definite, "
-                f"lambda_min = {w[0]:.3e}"
-            )
-    x = (va.conj().T @ b @ vc) / np.sqrt(np.outer(wa, wc))
-    return 1.0 / float(np.linalg.svd(x, compute_uv=False)[0])
+        message = f"boundary ensemble needs {name} positive definite, lambda_min = {{:.3e}}"
+        _fail_first(~np.all(_support(w), axis=-1), PositivityError, message, w[..., 0])
+    x = (_adjoint(va) @ b @ vc) / np.sqrt(wa[..., :, None] * wc[..., None, :])
+    return 1.0 / np.linalg.svd(x, compute_uv=False)[..., 0]
 
 
 def random_block_state(
@@ -318,7 +344,8 @@ def random_block_state(
     """
     if dim_p < 1 or dim_q < 1:
         raise DomainError("dimensions must be >= 1")
-    state, rng = _ginibre_draw(dim_p, dim_q, seed)
+    g, rng = _ginibre_draw(dim_p, dim_q, seed)
+    state = _split(_ginibre_density(g), dim_p)
     if ensemble == "ginibre":
         return state
     if ensemble != "boundary":
@@ -330,38 +357,30 @@ def random_block_state(
             f"boundary ensemble needs dim_p*a0 + eps_q <= 1, "
             f"got {dim_p * a0 + eps_q}"
         )
-    return _boundary_state(state, rng, a0, eps_q)
+    s = _boundary_state(_stack([state]), [rng], a0, eps_q)
+    return BlockState(dim_p, dim_q, s.a[0], s.b[0], s.c[0])
 
 
-def _ginibre_draw(dim_p: int, dim_q: int, seed: int):
-    """The ginibre state of ``seed`` and the RNG stream it leaves.  G G*/Tr is
-    Hermitian, positive semidefinite and of unit trace by construction, so it
-    is split without validation."""
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), dim_p, dim_q]))
-    return _split(_ginibre_density(rng, dim_p + dim_q), dim_p), rng
-
-
-def _boundary_state(s: BlockState, rng, a0: float, eps_q: float) -> BlockState:
-    """The boundary-ensemble state of ``random_block_state`` derived from the
-    ginibre state ``s``; ``rng`` redraws B only when the ginibre B vanishes."""
+def _boundary_state(s: BlockState, rngs, a0: float, eps_q: float) -> BlockState:
+    """The boundary-ensemble states of ``random_block_state`` derived from the
+    stack of ginibre states ``s``, from one eigh each of the stacked A and C and
+    one stacked SVD.  ``rngs[k]``, member k's stream, redraws its B only when
+    the ginibre B vanishes (||B||_F < ZERO_B_TOL)."""
     dim_p, dim_q = s.dim_p, s.dim_q
-    c = s.c * (eps_q / np.trace(s.c).real)
+    c = s.c * (eps_q / _trace(s.c))
     trace_a = 1.0 - eps_q
-    a_raw = s.a * (trace_a / np.trace(s.a).real)
+    a_raw = s.a * (trace_a / _trace(s.a))
     level = trace_a / dim_p
     w_raw, va = np.linalg.eigh(a_raw)
     t = _floor_mix_weight(w_raw, level, a0)
-    a = (1 - t) * a_raw + t * level * np.eye(dim_p)
-    wa = (1 - t) * w_raw + t * level  # the mix keeps the eigenvectors of a_raw
-    b_raw = s.b
-    if np.linalg.norm(b_raw) < 1e-14:
-        b_raw = (
-            rng.standard_normal((dim_p, dim_q))
-            + 1j * rng.standard_normal((dim_p, dim_q))
-        )
-    b_unit = b_raw / np.linalg.norm(b_raw)
+    a = (1 - t[..., None, None]) * a_raw + t[..., None, None] * level * np.eye(dim_p)
+    wa = (1 - t[..., None]) * w_raw + t[..., None] * level  # same eigenvectors va
+    b_raw = s.b.copy()
+    for k in np.flatnonzero(_frobenius(b_raw) < ZERO_B_TOL):
+        b_raw[k] = _gaussian(rngs[k], (dim_p, dim_q))
+    b_unit = b_raw / _frobenius(b_raw)[..., None, None]
     wc, vc = np.linalg.eigh(c)
-    scale = _max_psd_scale(wa, va, b_unit, wc, vc)
+    scale = _max_psd_scale(wa, va, b_unit, wc, vc)[..., None, None]
     return BlockState(dim_p=dim_p, dim_q=dim_q, a=a, b=scale * b_unit, c=c)
 
 

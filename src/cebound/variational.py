@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, InfeasibleError, NumericError, SamplingError, _fail_first
 from .linalg import PSD_TOL, BlockState, _adjoint, _block_diag, _entropy_terms
-from .linalg import _floor_mix_weight, _masses, _stack, coherence_entropy
+from .linalg import _floor_mix_weight, _gaussian, _masses, _stack, coherence_entropy
 from .twolevel import X_DOMAIN_TOL, TwoLevelParams, _phi, phi
 
 COMPLETENESS_TOL = 1e-12
@@ -359,7 +359,7 @@ def sample_feasible(
     _optimizer_hypotheses(a0, eps, c, d_p, d_q)
     target_a = 1.0 - eps
     for _ in range(MAX_ATTEMPTS):
-        g = rng.standard_normal((d_p, d_p)) + 1j * rng.standard_normal((d_p, d_p))
+        g = _gaussian(rng, (d_p, d_p))
         a_raw = g @ g.conj().T
         a_raw *= target_a / np.trace(a_raw).real
         level = target_a / d_p
@@ -373,14 +373,14 @@ def sample_feasible(
         a = (1 - t_mix) * a_raw + t_mix * level * np.eye(d_p)
 
         if eps > 0.0:
-            g = rng.standard_normal((d_q, d_q)) + 1j * rng.standard_normal((d_q, d_q))
+            g = _gaussian(rng, (d_q, d_q))
             c_blk = g @ g.conj().T
             c_blk *= eps / np.trace(c_blk).real
         else:
             c_blk = np.zeros((d_q, d_q), dtype=complex)
 
         if c > 0.0:
-            b = rng.standard_normal((d_p, d_q)) + 1j * rng.standard_normal((d_p, d_q))
+            b = _gaussian(rng, (d_p, d_q))
             b *= math.sqrt(c) / np.linalg.norm(b)
         else:
             b = np.zeros((d_p, d_q), dtype=complex)

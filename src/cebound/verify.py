@@ -2,9 +2,9 @@
 
 Each inequality is checked as a margin (D(rho || pinch(rho)) - bound, or the
 analogous difference) over seeded random states.  Every (d_p, d_q) group is
-evaluated as one stack over a leading axis, so each spectral decomposition is
-one batched call per chunk of trials.  Each trial derives its own RNG stream
-from (seed, d_p, d_q, trial), so results do not depend on execution order.
+evaluated as one stack over a leading axis, so each spectral decomposition,
+the sampler's too, is one batched call per chunk.  Each trial derives its own
+RNG streams from (seed, d_p, d_q, trial), so results do not depend on order.
 """
 
 from __future__ import annotations
@@ -18,9 +18,11 @@ from .errors import CeboundError, DomainError
 from .linalg import (
     BlockState,
     _boundary_state,
+    _ginibre_density,
     _ginibre_draw,
     _join_spectra,
     _pythagorean,
+    _split,
     _stack,
     pinch,
 )
@@ -35,15 +37,21 @@ ENSEMBLES = ("ginibre", "boundary")
 STACK_ELEMENTS = 1 << 16
 
 
-def _trial_states(dim_p: int, dim_q: int, trial: int, seed: int):
-    """The trial's (ginibre, boundary) states, both from one ginibre draw, and its
-    Pythagorean reference sigma, a ginibre state whose pinching is used."""
-    trial_seed = int(
-        np.random.SeedSequence([seed, dim_p, dim_q, trial]).generate_state(1)[0]
-    )
-    ginibre, rng = _ginibre_draw(dim_p, dim_q, trial_seed)
-    states = (ginibre, _boundary_state(ginibre, rng, 0.6 / dim_p, 0.2 / dim_p))
-    return states, _ginibre_draw(dim_p, dim_q, trial_seed + 1)[0]
+def _chunk_states(dim_p: int, dim_q: int, trials, seed: int):
+    """The (ginibre, boundary, sigma) stacks of ``trials``, each member
+    bit-identical to random_block_state for the trial seed (sigma: the trial
+    seed + 1).  The boundary state reuses the ginibre draw; sigma, the
+    Pythagorean reference, is used pinched.  The draws come trial by trial from
+    their own streams; all else runs once over the chunk's stack."""
+    seeds = [
+        int(np.random.SeedSequence([seed, dim_p, dim_q, t]).generate_state(1)[0])
+        for t in trials
+    ]
+    g, rngs = zip(*(_ginibre_draw(dim_p, dim_q, s) for s in seeds))
+    g_sigma = tuple(_ginibre_draw(dim_p, dim_q, s + 1)[0] for s in seeds)
+    rho = _ginibre_density(np.stack(g + g_sigma))
+    ginibre, sigma = (_split(x, dim_p) for x in np.split(rho, 2))
+    return ginibre, _boundary_state(ginibre, rngs, 0.6 / dim_p, 0.2 / dim_p), sigma
 
 
 def _stack_margins(state: BlockState, sigma: BlockState) -> dict:
@@ -92,8 +100,8 @@ def verify_group(dim_p: int, dim_q: int, trials: int, seed: int) -> dict:
     the smaller of the two.  A margin is +inf where its bound does not apply
     (the log boundary bound outside its hypotheses); a NaN margin stays NaN.
     The group is evaluated as one stack, in chunks of at most STACK_ELEMENTS
-    entries of the midpoint-grid stack.  A failing check is replayed member by
-    member, so its error names the state's dims, trial, ensemble and seed.
+    entries of the midpoint-grid stack.  A failing chunk is replayed trial by
+    trial, so its error names the state's dims, trial, ensemble and seed.
     """
     if dim_p < 1 or dim_q < 1:
         raise DomainError("dimensions must be >= 1")
@@ -103,23 +111,22 @@ def verify_group(dim_p: int, dim_q: int, trials: int, seed: int) -> dict:
     per_chunk = max(1, STACK_ELEMENTS // trial_entries)
     chunks = []
     for start in range(0, trials, per_chunk):
-        drawn = [
-            _trial_states(dim_p, dim_q, trial, seed)
-            for trial in range(start, min(start + per_chunk, trials))
-        ]
-        states = [state for pair, _ in drawn for state in pair]
-        sigmas = [sigma for _, sigma in drawn for _ in ENSEMBLES]
+        stop = min(start + per_chunk, trials)
         try:
-            margins = _stack_margins(_stack(states), _stack(sigmas))
+            ginibre, boundary, sigma = _chunk_states(dim_p, dim_q, range(start, stop), seed)
+            margins = _stack_margins(_stack([ginibre, boundary]), _stack([sigma, sigma]))
         except CeboundError:
-            for k, member in enumerate(zip(states, sigmas)):
+            # replay trial by trial, so the error names its state
+            for trial in range(start, stop):
+                ensemble = "boundary"  # the one draw that can fail
                 try:
-                    _stack_margins(*(_stack([x]) for x in member))
+                    ginibre, boundary, sigma = _chunk_states(dim_p, dim_q, (trial,), seed)
+                    for ensemble, state in zip(ENSEMBLES, (ginibre, boundary)):
+                        _stack_margins(state, sigma)
                 except CeboundError as exc:
-                    trial, ensemble = divmod(k, len(ENSEMBLES))
                     raise type(exc)(
-                        f"{exc} (dims ({dim_p}, {dim_q}), trial {start + trial}, "
-                        f"ensemble {ENSEMBLES[ensemble]}, seed {seed})"
+                        f"{exc} (dims ({dim_p}, {dim_q}), trial {trial}, "
+                        f"ensemble {ensemble}, seed {seed})"
                     ) from exc
             raise
         chunks.append(

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, determinism, and output formats."""
 
 import ast
+import itertools
 import json
 import math
 import pathlib
@@ -13,6 +14,7 @@ from cebound import (
     BlockState,
     DomainError,
     OrbitConfig,
+    PositivityError,
     bound_report,
     entropy_production,
     midpoint_margins,
@@ -108,43 +110,94 @@ def test_verify_trial_eigensolver_budget(lapack_calls):
 
 
 def test_verify_group_eigensolver_budget(lapack_calls):
-    # the stacked calls do not grow with the trials: 8 x 2 + 7 = 23
-    # eigensolver calls and 8 + 1 = 9 SVDs, against 24 when rho took its own
-    # eigh and 8 x 4 + 8 = 40 when each draw was validated
+    # one chunk holds all 8 trials: the sampler takes 1 eigh of the stacked raw
+    # A, 1 of the stacked C and 1 stacked SVD for the Schur scale of B, and the
+    # margins take the 7 stacked calls and 1 SVD of the one-trial budget
+    # above: 9 and 2, against 8 x 2 + 7 = 23 and 8 + 1 = 9 when each trial was
+    # sampled on its own
     verify_group(2, 2, 8, 7)
-    assert lapack_calls["eigh"] + lapack_calls["eigvalsh"] <= 23
-    assert lapack_calls["svd"] <= 9
+    assert lapack_calls["eigh"] + lapack_calls["eigvalsh"] <= 9
+    assert lapack_calls["svd"] <= 2
+
+
+def test_verify_group_eigensolver_budget_does_not_grow_with_trials(lapack_calls):
+    # 20 trials still fit one chunk, so they keep the 8-trial budget: 9 and 2,
+    # against 20 x 2 + 7 = 47 and 20 + 1 = 21 when each trial was sampled alone
+    verify_group(2, 2, 20, 7)
+    assert lapack_calls["eigh"] + lapack_calls["eigvalsh"] <= 9
+    assert lapack_calls["svd"] <= 2
+
+
+def _trial_seed(dim_p, dim_q, trial, seed):
+    return int(np.random.SeedSequence([seed, dim_p, dim_q, trial]).generate_state(1)[0])
 
 
 def test_trial_states_match_separate_draws():
     # one ginibre draw serves both ensembles: every state is bit-identical to
-    # drawing each one separately through random_block_state, and is a valid
-    # density matrix although the sampler does not validate it
-    for seed in (1, 7, 11):
-        for dim_p in range(1, 5):
-            for dim_q in range(1, 5):
-                for trial in range(20):
-                    (ginibre, boundary), sigma = verify._trial_states(
-                        dim_p, dim_q, trial, seed
-                    )
-                    trial_seed = int(
-                        np.random.SeedSequence([seed, dim_p, dim_q, trial])
-                        .generate_state(1)[0]
-                    )
-                    expected = (
-                        random_block_state(dim_p, dim_q, trial_seed, "ginibre"),
-                        random_block_state(
-                            dim_p, dim_q, trial_seed, "boundary",
-                            a0=0.6 / dim_p, eps_q=0.2 / dim_p,
-                        ),
-                        random_block_state(dim_p, dim_q, trial_seed + 1, "ginibre"),
-                    )
-                    for got, want in zip((ginibre, boundary, sigma), expected):
+    # drawing each one separately through random_block_state, wherever the
+    # chunk boundaries fall, and is a valid density matrix although the
+    # sampler does not validate it
+    for seed, dim_p, dim_q in itertools.product((1, 7, 11), range(1, 5), range(1, 5)):
+        expected = {}
+        for trial in range(20):
+            trial_seed = _trial_seed(dim_p, dim_q, trial, seed)
+            expected[trial] = (
+                random_block_state(dim_p, dim_q, trial_seed, "ginibre"),
+                random_block_state(
+                    dim_p, dim_q, trial_seed, "boundary",
+                    a0=0.6 / dim_p, eps_q=0.2 / dim_p,
+                ),
+                random_block_state(dim_p, dim_q, trial_seed + 1, "ginibre"),
+            )
+        for chunk in (1, 3, 20):
+            for start in range(0, 20, chunk):
+                trials = range(start, min(start + chunk, 20))
+                drawn = verify._chunk_states(dim_p, dim_q, trials, seed)
+                for k, trial in enumerate(trials):
+                    for stack, want in zip(drawn, expected[trial]):
+                        got = BlockState(dim_p, dim_q, stack.a[k], stack.b[k], stack.c[k])
                         validate_density(got.to_matrix())
                         for block in "abc":
                             assert np.array_equal(
                                 getattr(got, block), getattr(want, block)
-                            ), (seed, dim_p, dim_q, trial, block)
+                            ), (seed, dim_p, dim_q, chunk, trial, block)
+
+
+def _craft_draw(monkeypatch, trial_seed, edit):
+    """Pass the ginibre draw G of ``trial_seed`` through ``edit``, in verify's
+    sampler and in random_block_state alike; every other draw is left as is."""
+    draw = cebound.linalg._ginibre_draw
+
+    def crafted(dim_p, dim_q, seed):
+        g, rng = draw(dim_p, dim_q, seed)
+        return (edit(g.copy()) if seed == trial_seed else g), rng
+
+    monkeypatch.setattr(verify, "_ginibre_draw", crafted)
+    monkeypatch.setattr(cebound.linalg, "_ginibre_draw", crafted)
+
+
+def test_chunk_redraws_a_vanishing_b_from_its_own_stream(monkeypatch):
+    # trial 1's ginibre draw is made block diagonal, so its B vanishes and its
+    # boundary state redraws B from the trial's stream: bit for bit the state
+    # random_block_state builds from the same draw, as trials 0 and 2 are
+    dim_p, dim_q, seed = 2, 3, 7
+
+    def block_diagonal(g):
+        g[:dim_p, dim_p:] = 0.0
+        g[dim_p:, :dim_p] = 0.0
+        return g
+
+    _craft_draw(monkeypatch, _trial_seed(dim_p, dim_q, 1, seed), block_diagonal)
+    ginibre, boundary, _ = verify._chunk_states(dim_p, dim_q, range(3), seed)
+    assert np.all(ginibre.b[1] == 0.0)
+    assert np.all(boundary.b[1] != 0.0)
+    for k in range(3):
+        want = random_block_state(
+            dim_p, dim_q, _trial_seed(dim_p, dim_q, k, seed), "boundary",
+            a0=0.6 / dim_p, eps_q=0.2 / dim_p,
+        )
+        for block in "abc":
+            assert np.array_equal(getattr(boundary, block)[k], getattr(want, block)), k
 
 
 def _reference_trial(dim_p, dim_q, trial, seed):
@@ -227,20 +280,34 @@ def test_m_plus_minus_y_check_names_the_failing_state(monkeypatch):
         OrbitConfig(state=bad, gamma=1.0, t_max=2.0, steps=2)
 
     # a stack whose trial-1 boundary state has B pushed past the PSD edge
-    draw = verify._trial_states
+    draw = verify._chunk_states
 
-    def crafted(dim_p, dim_q, trial, seed):
-        (ginibre, boundary), sigma = draw(dim_p, dim_q, trial, seed)
-        if trial == 1:
-            boundary = BlockState(
-                dim_p, dim_q, boundary.a, 1.5 * boundary.b, boundary.c
-            )
-        return (ginibre, boundary), sigma
+    def crafted(dim_p, dim_q, trials, seed):
+        ginibre, boundary, sigma = draw(dim_p, dim_q, trials, seed)
+        scale = np.where(np.asarray(trials) == 1, 1.5, 1.0)[:, None, None]
+        boundary = BlockState(dim_p, dim_q, boundary.a, scale * boundary.b, boundary.c)
+        return ginibre, boundary, sigma
 
-    monkeypatch.setattr(verify, "_trial_states", crafted)
+    monkeypatch.setattr(verify, "_chunk_states", crafted)
     with pytest.raises(
         DomainError,
         match=r"M \+- Y must be .*dims \(2, 2\), trial 1, ensemble boundary, seed 7",
+    ):
+        verify_group(2, 2, 3, 7)
+
+
+def test_sampler_error_names_the_failing_trial(monkeypatch):
+    # trial 1's ginibre draw repeats its last row, so its C is singular and the
+    # boundary sampler cannot scale B; the chunk is drawn again trial by trial
+    # and the error names the trial
+    def repeat_last_row(g):
+        g[-1] = g[-2]
+        return g
+
+    _craft_draw(monkeypatch, _trial_seed(2, 2, 1, 7), repeat_last_row)
+    with pytest.raises(
+        PositivityError,
+        match=r"needs C positive definite.*dims \(2, 2\), trial 1, ensemble boundary, seed 7",
     ):
         verify_group(2, 2, 3, 7)
 

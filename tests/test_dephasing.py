@@ -148,6 +148,16 @@ def test_analytic_rate_matches_fd():
             assert abs(an - fd) <= 1e-6 * (1.0 + abs(an))
 
 
+@pytest.mark.parametrize("t", [0.5, 0.0])
+def test_fd_rate_eigensolver_budget(lapack_calls, t):
+    # one stacked eigh over the stencil's 2 (central) or 3 (forward) times,
+    # against one eigh per time when each point was evaluated on its own
+    cfg = OrbitConfig(state=random_block_state(2, 2, 61), gamma=1.0, t_max=1.0, steps=2)
+    lapack_calls.clear()
+    fd_rate(cfg, t)
+    assert lapack_calls["eigh"] + lapack_calls["eigvalsh"] == 1
+
+
 # ----------------------------------------------------------- enhanced bound
 
 def test_log_enhanced_gate():

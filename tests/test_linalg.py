@@ -302,10 +302,20 @@ def test_random_state_boundary_singular_block_is_typed_error(monkeypatch):
     # so the largest PSD scale of B is undefined
     psi = np.array([0.5, 0.5j, -0.5, 0.5])
     monkeypatch.setattr(
-        cebound.linalg, "_ginibre_density", lambda rng, dim: np.outer(psi, psi.conj())
+        cebound.linalg, "_ginibre_density", lambda g: np.outer(psi, psi.conj())
     )
     with pytest.raises(PositivityError):
         random_block_state(2, 2, 1, "boundary", a0=0.0, eps_q=0.1)
+
+
+def test_frobenius_matches_norm_bit_for_bit(rng):
+    # the boundary sampler normalises each B of a stack by _frobenius: every
+    # member equals np.linalg.norm of that member alone, bit for bit, also at
+    # sizes where numpy's own stacked norm (norm(x, axis=(-2, -1))) differs
+    for shape in [(1, 1), (3, 5), (8, 8), (17, 64), (32, 32), (64, 64)]:
+        x = rng.standard_normal((3,) + shape) + 1j * rng.standard_normal((3,) + shape)
+        got = cebound.linalg._frobenius(x)
+        assert [float(v) for v in got] == [np.linalg.norm(m) for m in x], shape
 
 
 def test_random_state_bad_ensemble():
