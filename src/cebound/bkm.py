@@ -9,7 +9,7 @@ metrics for four named operator-monotone functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,8 +112,7 @@ def bkm_form(a, c, b) -> float:
     )
 
 
-@dataclass(frozen=True)
-class ChannelWeights:
+class ChannelWeights(NamedTuple):
     """Coherence channel weights w_{ab} = |<e_a, B f_b>|^2 / ||B||_F^2."""
 
     weights: np.ndarray
@@ -140,9 +139,6 @@ def channel_weights(a, c, b) -> ChannelWeights:
     return ChannelWeights(weights=weights, a_eigen=wa, c_eigen=wc, frob_sq=frob_sq)
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
 def bkm_quadrature(a, c, b, tol: float = 1e-10) -> float:
     """Quadrature oracle for Tr[B* Omega^{-1}(B)].
 
@@ -158,6 +154,7 @@ def bkm_quadrature(a, c, b, tol: float = 1e-10) -> float:
     dp, dq = b.shape
     eye_p = np.eye(dp)
     eye_q = np.eye(dq)
+    nodes, weights = np.polynomial.legendre.leggauss(16)
 
     def integrand(t: float) -> float:
         r = t / (1.0 - t)
@@ -172,7 +169,7 @@ def bkm_quadrature(a, c, b, tol: float = 1e-10) -> float:
         for lo, hi in zip(edges[:-1], edges[1:]):
             half = 0.5 * (hi - lo)
             mid = 0.5 * (hi + lo)
-            for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
+            for node, weight in zip(nodes, weights):
                 total += weight * half * integrand(mid + half * node)
         return total
 

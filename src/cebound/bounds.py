@@ -8,7 +8,6 @@ boundary logarithmic specialization ||B||_F^2 log(a0/eps_Q) (applicable when
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -29,6 +28,7 @@ from .twolevel import binary_entropy
 
 MARGIN_TOL = 1e-9
 REG_DELTA = 1e-10
+REG_MIN_SHIFT = 1.5e-12  # above POSITIVITY_FLOOR by far more than eigh rounding
 
 
 class _BlockSpectra(NamedTuple):
@@ -52,26 +52,27 @@ def _operator_bound(sp: _BlockSpectra, b, regularize: bool) -> tuple[np.ndarray,
     """The BKM form from the block spectra, and whether it was regularized.
 
     (1-delta) A + (delta/d) I keeps the eigenvectors of A, so the regularized
-    spectra are the closed form (1-delta) w + delta/d.  Over a stack, every
-    member is regularized when one needs it; only single states ask for it.
+    spectra are (1-delta) w + delta/d, delta/d >= REG_MIN_SHIFT.  Over a stack,
+    every member is regularized when one needs it; only single states ask for it.
     """
     if np.all(np.minimum(sp.wa[..., 0], sp.wc[..., 0]) > POSITIVITY_FLOOR):
         return _spectral_bkm_form(*sp, b), False
     if not regularize:
         raise PositivityError("operator_bound requires A > 0 and C > 0")
-    shift = REG_DELTA / (sp.wa.shape[-1] + sp.wc.shape[-1])
-    wa = (1.0 - REG_DELTA) * sp.wa + shift
-    wc = (1.0 - REG_DELTA) * sp.wc + shift
+    d = sp.wa.shape[-1] + sp.wc.shape[-1]
+    delta = max(REG_DELTA, d * REG_MIN_SHIFT)
+    wa = (1.0 - delta) * sp.wa + delta / d
+    wc = (1.0 - delta) * sp.wc + delta / d
     _check_positive(wa, "A")
     _check_positive(wc, "C")
-    return _spectral_bkm_form(wa, sp.va, wc, sp.vc, (1.0 - REG_DELTA) * b), True
+    return _spectral_bkm_form(wa, sp.va, wc, sp.vc, (1.0 - delta) * b), True
 
 
 def operator_bound(state: BlockState, regularize: bool = False) -> float:
     """The BKM operator lower bound Tr[B* Omega_{A,C}^{-1}(B)].
 
     Singular A or C raises unless ``regularize`` is set, in which case the
-    bound is computed on (1-delta) rho + (delta/d) I with delta = 1e-10.
+    bound is computed on (1-delta) rho + (delta/d) I, delta = max(1e-10, 1.5e-12 d).
     """
     return float(_operator_bound(_block_spectra(state), state.b, regularize)[0])
 
@@ -187,8 +188,7 @@ def _bounds(state, sp, rho, w_rho, svals, regularize=False) -> tuple[_Bounds, bo
     return bounds, used_reg
 
 
-@dataclass
-class BoundReport:
+class BoundReport(NamedTuple):
     """D(rho || pinch(rho)) with every computed lower bound and margin."""
 
     entropy: float
@@ -197,12 +197,12 @@ class BoundReport:
     pinsker_bound: float
     fidelity_bound: float
     coarse_applicable: bool
-    margins: dict = field(default_factory=dict)
-    params: dict = field(default_factory=dict)
-    regularized: bool = False
+    margins: dict
+    params: dict
+    regularized: bool
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
     def worst_margin(self) -> float:
         return min(self.margins.values())
@@ -253,8 +253,7 @@ def bound_report(state: BlockState, regularize: bool = False) -> BoundReport:
     )
 
 
-@dataclass(frozen=True)
-class SharpnessPoint:
+class SharpnessPoint(NamedTuple):
     state: BlockState
     entropy: float
     bkm: float
@@ -280,8 +279,7 @@ def sharpness_family(q: float) -> SharpnessPoint:
     )
 
 
-@dataclass(frozen=True)
-class SeparationPoint:
+class SeparationPoint(NamedTuple):
     state: BlockState
     ratio: float
 

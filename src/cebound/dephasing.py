@@ -44,8 +44,8 @@ class OrbitConfig:
     def __post_init__(self):
         # nan fails every comparison, so it is rejected with inf
         finite = 0.0 < self.gamma < math.inf and 0.0 < self.t_max < math.inf
-        if not finite or self.steps < 1:
-            raise DomainError("need finite gamma > 0, finite t_max > 0, steps >= 1")
+        if not finite or self.steps < 2:
+            raise DomainError("need finite gamma > 0, finite t_max > 0, steps >= 2")
         state = self.state
         sp = _block_spectra(state)
         m, y = pinch(state), state.off_diagonal()
@@ -155,8 +155,6 @@ def orbit_trace(cfg: OrbitConfig) -> list:
 
     One eigendecomposition of rho_t gives both the row's entropy and its rate.
     """
-    if cfg.steps < 2:
-        raise DomainError("orbit_trace needs steps >= 2")
     rows = []
     # row by row: one stack of every rho_t would hold steps + 1 matrices at once
     for k in range(cfg.steps + 1):

@@ -59,7 +59,8 @@ class BlockState:
 
     ``a`` is the dim_p x dim_p leading block, ``c`` the dim_q x dim_q
     trailing block, and ``b`` the dim_p x dim_q coherence block.  Blocks with
-    leading axes hold a stack of states (see ``_stack``).
+    leading axes hold a stack of states (see ``_stack``).  Construction checks
+    only the dims (DomainError) and the block shapes (ValidationError).
     """
 
     dim_p: int
@@ -67,6 +68,16 @@ class BlockState:
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
+
+    def __post_init__(self):
+        p, q = self.dim_p, self.dim_q
+        if min(p, q) < 1:
+            raise DomainError(f"dim_p and dim_q must be >= 1, got ({p}, {q})")
+        lead = np.shape(self.a)[:-2]
+        for name, shape in (("A", (p, p)), ("B", (p, q)), ("C", (q, q))):
+            got = np.shape(getattr(self, name.lower()))
+            if got != lead + shape:
+                raise ValidationError(f"block {name} has shape {got}, not {lead + shape}")
 
     def to_matrix(self) -> np.ndarray:
         """Reassemble the full density matrix [[A, B], [B*, C]]."""
@@ -127,8 +138,6 @@ def _split(rho: np.ndarray, dim_p: int) -> BlockState:
     """The A, B, C blocks of a density matrix known to be valid, over any
     leading stack axes."""
     d = rho.shape[-1]
-    if not 1 <= dim_p < d:
-        raise DomainError(f"dim_p must be in [1, {d - 1}], got {dim_p}")
     return BlockState(
         dim_p=dim_p,
         dim_q=d - dim_p,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +26,7 @@ MERGE_TOL = 1e-10  # merged output vs (A, sqrt X; sqrt X, E) and Phi(A, E, X)
 MAX_ATTEMPTS = 10_000  # rejection-sampling draws of sample_feasible
 
 
-@dataclass(frozen=True)
-class KrausChannel:
+class KrausChannel(NamedTuple):
     """A CPTP map given by a finite Kraus family."""
 
     dim_in: int
@@ -57,8 +56,7 @@ def _checked_channel(dim_in: int, dim_out: int, kraus: list) -> KrausChannel:
     return ch
 
 
-@dataclass(frozen=True)
-class PinchedData:
+class PinchedData(NamedTuple):
     """Per-singular-channel data (a_pin, c_pin, s) plus kernel-sector spectra."""
 
     channels: tuple  # of (a_pin, c_pin, s)
@@ -172,8 +170,7 @@ def _polygon(lengths, target) -> np.ndarray:
     return theta
 
 
-@dataclass(frozen=True)
-class MergeSpec:
+class MergeSpec(NamedTuple):
     """Inputs of the floor-aware merge: scalar blocks (a_j, eps_j, x_j),
     remainder leakage eps_rem, and the common floor a0."""
 
@@ -214,8 +211,7 @@ def _validate_merge(a, eps, x, eps_rem, a0) -> tuple:
     return a_m, e_m, x_m
 
 
-@dataclass(frozen=True)
-class MergeResult:
+class MergeResult(NamedTuple):
     channel: KrausChannel
     merged: TwoLevelParams
     left_entropy: float
@@ -297,8 +293,7 @@ def merge_channel(spec: MergeSpec) -> MergeResult:
     )
 
 
-@dataclass(frozen=True)
-class OptimizerResult:
+class OptimizerResult(NamedTuple):
     state: BlockState
     value: float
     a_star: float
@@ -394,8 +389,7 @@ def sample_feasible(
     )
 
 
-@dataclass(frozen=True)
-class VariationalResult:
+class VariationalResult(NamedTuple):
     min_found: float
     bound: float
     gap: float

@@ -57,7 +57,8 @@ def _chunk_states(dim_p: int, dim_q: int, trials, seed: int):
 def _stack_margins(state: BlockState, sigma: BlockState) -> dict:
     """{inequality: margin of each member} for a stack of states.
 
-    ``sigma`` stacks each member's Pythagorean reference (used pinched).  One
+    ``sigma`` stacks each trial's Pythagorean reference (used pinched), one
+    eigh each, repeated for the trial's adjacent members of ``state``.  One
     eigh each of A and C and one SVD of B serve every bound, the M +- Y check,
     the Pythagorean terms and the SVD pinching and merge, polygon phases
     included; one stacked eigh of rho_t serves the three dephasing rates and,
@@ -86,6 +87,7 @@ def _stack_margins(state: BlockState, sigma: BlockState) -> dict:
 
     m_spectra = _join_spectra(*sp)
     s_spectra = _join_spectra(*np.linalg.eigh(sigma.a), *np.linalg.eigh(sigma.c))
+    s_spectra = [np.repeat(x, len(rho) // len(sigma.a), axis=0) for x in s_spectra]
     margins["pythagorean"] = -np.abs(_pythagorean(rho, w_rho, m, m_spectra, s_spectra))
     pinched, merged = _pipeline(state, sp.wa[:, 0], svd)
     margins["pipeline_pinch"] = bounds.entropy - pinched
@@ -114,7 +116,7 @@ def verify_group(dim_p: int, dim_q: int, trials: int, seed: int) -> dict:
         stop = min(start + per_chunk, trials)
         try:
             ginibre, boundary, sigma = _chunk_states(dim_p, dim_q, range(start, stop), seed)
-            margins = _stack_margins(_stack([ginibre, boundary]), _stack([sigma, sigma]))
+            margins = _stack_margins(_stack([ginibre, boundary]), sigma)
         except CeboundError:
             # replay trial by trial, so the error names its state
             for trial in range(start, stop):

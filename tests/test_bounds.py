@@ -13,6 +13,7 @@ from cebound import (
     InfeasibleError,
     PositivityError,
     binary_entropy,
+    block_decompose,
     bound_report,
     coherence_entropy,
     fidelity,
@@ -28,6 +29,7 @@ from cebound import (
     two_level_pure,
 )
 from cebound.bkm import log_mean_kernel
+from cebound.bounds import MARGIN_TOL
 from cebound.linalg import SUPPORT_TOL, pinch
 
 from conftest import random_states
@@ -71,6 +73,22 @@ def test_operator_bound_singular_requires_regularization():
         operator_bound(singular)
     assert operator_bound(singular, regularize=True) >= 0.0
     assert operator_bound(s) == operator_bound(s, regularize=True)
+
+
+@pytest.mark.parametrize("dim", [2, 32, 50, 64])
+def test_regularized_report_of_a_pure_state(dim):
+    # a pure state with d_p = d_q = dim has singular A and C.  The regularized
+    # spectrum (1 - delta) w + delta/d must clear POSITIVITY_FLOOR: with
+    # delta = REG_DELTA alone it misses from d = 100 on
+    rng = np.random.default_rng(dim)
+    psi = rng.standard_normal(2 * dim) + 1j * rng.standard_normal(2 * dim)
+    psi /= np.linalg.norm(psi)
+    state = block_decompose(np.outer(psi, psi.conj()), dim)
+    with pytest.raises(PositivityError):
+        bound_report(state)
+    report = bound_report(state, regularize=True)
+    assert report.regularized
+    assert min(report.margins.values()) >= -MARGIN_TOL
 
 
 # --------------------------------------------------------------- log bound

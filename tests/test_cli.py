@@ -1,10 +1,13 @@
 """Command-line interface: exit codes, determinism, and output formats."""
 
 import ast
+import dataclasses
+import importlib
 import itertools
 import json
 import math
 import pathlib
+import pkgutil
 
 import numpy as np
 import pytest
@@ -126,6 +129,23 @@ def test_verify_group_eigensolver_budget_does_not_grow_with_trials(lapack_calls)
     verify_group(2, 2, 20, 7)
     assert lapack_calls["eigh"] + lapack_calls["eigvalsh"] <= 9
     assert lapack_calls["svd"] <= 2
+
+
+def test_verify_group_diagonalises_each_sigma_once(monkeypatch):
+    # 8 trials of (2, 3): the 2 x 2 blocks diagonalised are the sampler's raw A
+    # (8), the A of both ensembles (16) and sigma's A (8), and likewise for the
+    # 3 x 3 blocks; diagonalising sigma once per ensemble made it 40 each
+    members = {}
+    original = np.linalg.eigh
+
+    def counted(h, *args, **kwargs):
+        h = np.asarray(h)
+        members[h.shape[-1]] = members.get(h.shape[-1], 0) + h.size // h.shape[-1] ** 2
+        return original(h, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    verify_group(2, 3, 8, 7)
+    assert members[2] == 32 and members[3] == 32
 
 
 def _trial_seed(dim_p, dim_q, trial, seed):
@@ -387,6 +407,26 @@ def test_cli_imports_only_public_names():
     }
     assert exported == {"verify_group"}
     assert cebound.verify_group is verify_group
+
+
+def test_only_the_self_checking_classes_are_dataclasses():
+    # a record that checks nothing at construction is a NamedTuple; BlockState
+    # and OrbitConfig check their arguments, so they alone are dataclasses
+    modules = [
+        importlib.import_module(f"cebound.{info.name}")
+        for info in pkgutil.iter_modules(cebound.__path__)
+    ]
+    classes = {
+        obj
+        for module in modules
+        for obj in vars(module).values()
+        if isinstance(obj, type) and obj.__module__ == module.__name__
+    }
+    assert {c for c in classes if dataclasses.is_dataclass(c)} == {BlockState, OrbitConfig}
+    records = classes - {BlockState, OrbitConfig}
+    not_tuples = [c.__name__ for c in records if not issubclass(c, (tuple, Exception))]
+    assert not_tuples == []
+    assert {"BoundReport", "ChannelWeights", "MergeSpec"} <= {c.__name__ for c in records}
 
 
 def test_orbit_trace_eigensolver_budget(lapack_calls):

@@ -81,6 +81,8 @@ def test_orbit_config_validation():
         OrbitConfig(state=s, gamma=0.0, t_max=1.0, steps=2)
     with pytest.raises(DomainError):
         OrbitConfig(state=s, gamma=1.0, t_max=-1.0, steps=2)
+    with pytest.raises(DomainError, match="steps >= 2"):
+        OrbitConfig(state=s, gamma=1.0, t_max=1.0, steps=1)
 
 
 @pytest.mark.parametrize("gamma, t_max", [

@@ -11,15 +11,22 @@ from cebound import (
     BlockState,
     DomainError,
     InfeasibleError,
+    OrbitConfig,
     PositivityError,
     ValidationError,
     block_decompose,
+    bound_report,
     coherence_entropy,
+    fidelity_bound,
+    midpoint_margin,
+    operator_bound,
     pinch,
+    pipeline_values,
     pythagorean_residual,
     random_block_state,
     read_state_json,
     relative_entropy,
+    state_payload,
     two_level_pure,
     validate_density,
     validate_hermitian,
@@ -77,6 +84,41 @@ def test_block_decompose_round_trip_exact():
 def test_block_decompose_bad_dim():
     with pytest.raises(DomainError):
         block_decompose(np.diag([0.6, 0.4]), 2)
+
+
+_STATE_FUNCTIONS = {
+    "bound_report": bound_report,
+    "coherence_entropy": coherence_entropy,
+    "OrbitConfig": lambda s: OrbitConfig(state=s, gamma=1.0, t_max=1.0, steps=2),
+    "midpoint_margin": lambda s: midpoint_margin(s, [0.5]),
+    "pipeline_values": lambda s: pipeline_values(s, 0.1),
+    "operator_bound": operator_bound,
+    "fidelity_bound": fidelity_bound,
+    "pythagorean_residual": lambda s: pythagorean_residual(s, np.eye(5) / 5),
+    "state_payload": state_payload,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STATE_FUNCTIONS))
+@pytest.mark.parametrize("dims, shapes, block", [
+    ((2, 2), ((3, 3), (2, 2), (2, 2)), "A"),
+    ((2, 2), ((2, 2), (2, 3), (2, 2)), "B"),
+    ((2, 3), ((2, 2), (2, 2), (2, 2)), "B"),
+], ids=["a-3x3-for-dim-p-2", "b-2x3-for-dim-q-2", "dim-q-3-with-2x2-blocks"])
+def test_block_state_rejects_inconsistent_blocks(dims, shapes, block, name):
+    a, b, c = (np.eye(*shape, dtype=complex) / 4 for shape in shapes)
+    with pytest.raises(ValidationError, match=f"block {block} has shape"):
+        _STATE_FUNCTIONS[name](BlockState(*dims, a, b, c))
+
+
+def test_block_state_checks_dims_and_stack_shape():
+    s = random_block_state(2, 2, 1)
+    with pytest.raises(DomainError, match=r"dim_p and dim_q must be >= 1"):
+        BlockState(0, 2, s.a[:0, :0], s.b[:0], s.c)
+    a, b, c = (np.stack([x, x]) for x in (s.a, s.b, s.c))
+    with pytest.raises(ValidationError, match=r"block B has shape \(2, 2\), not \(2, 2, 2\)"):
+        BlockState(2, 2, a, s.b, c)
+    assert np.array_equal(BlockState(2, 2, a, b, c).to_matrix()[1], s.to_matrix())
 
 
 # ------------------------------------------------------------- pinching
