@@ -29,6 +29,7 @@ from .twolevel import binary_entropy
 MARGIN_TOL = 1e-9
 REG_DELTA = 1e-10
 REG_MIN_SHIFT = 1.5e-12  # above POSITIVITY_FLOOR by far more than eigh rounding
+FIDELITY_PSD_TOL = 1e-14
 
 
 class _BlockSpectra(NamedTuple):
@@ -128,7 +129,7 @@ def _fidelity(rho, sqrt_sigma) -> np.ndarray:
     stack axes."""
     w = np.linalg.eigvalsh(sqrt_sigma @ rho @ sqrt_sigma)
     message = "fidelity inner matrix not PSD: lambda_min = {:.3e}"
-    _fail_first(w[..., 0] < -1e-14, DomainError, message, w[..., 0])
+    _fail_first(w[..., 0] < -FIDELITY_PSD_TOL, DomainError, message, w[..., 0])
     return np.sum(_support_sqrt(w), axis=-1)
 
 
@@ -226,7 +227,7 @@ def bound_report(state: BlockState, regularize: bool = False) -> BoundReport:
         for name, value in bounds.margins().items()
         if log_b is not None or not name.startswith("log")
     }
-    a0 = float(sp.wa[0])
+    a0 = float(sp.wa[0]) if _support(sp.wa)[0] else 0.0  # lambda_min(A), 0 on ker A
     eps_q = float(np.trace(state.c).real)
     frob_sq = float(np.sum(np.abs(state.b) ** 2))
     pinsker = float(bounds.pinsker)

@@ -9,6 +9,7 @@ do not depend on execution order.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -157,7 +158,10 @@ def _cmd_modulus(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built by the first call (about 2 ms) and then shared:
+    parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="cebound",
         description="Verify BKM lower bounds for the relative entropy of coherence.",

@@ -27,7 +27,8 @@ class OrbitConfig:
 
     M = pinch(rho) is constant along the orbit, so M, Y = rho - M, Tr[M log M],
     the BKM form and the log-boundary bound are computed once per config, from
-    one eigendecomposition each of A and C.
+    one eigendecomposition each of A and C.  The one eigendecomposition of
+    rho = rho_0 gives both the M +- Y check and the t = 0 row (``start``).
     """
 
     state: BlockState
@@ -40,6 +41,7 @@ class OrbitConfig:
     tr_m_log_m: float = field(init=False, repr=False, compare=False)
     bkm: float = field(init=False, repr=False, compare=False)
     log_bound: float | None = field(init=False, repr=False, compare=False)
+    start: tuple = field(init=False, repr=False, compare=False)  # _orbit_terms at t = 0
 
     def __post_init__(self):
         # nan fails every comparison, so it is rejected with inf
@@ -49,10 +51,12 @@ class OrbitConfig:
         state = self.state
         sp = _block_spectra(state)
         m, y = pinch(state), state.off_diagonal()
-        _check_midpoint(min(sp.wa[0], sp.wc[0]), np.linalg.eigvalsh(m + y)[0])
+        start = _orbit_terms(m, y, self.gamma, (0.0,))
+        _check_midpoint(min(sp.wa[0], sp.wc[0]), start[2][0, 0])
         for name, value in (
             ("m", m),
             ("y", y),
+            ("start", start),
             ("tr_m_log_m", float(_xlogx_sum(sp.wa) + _xlogx_sum(sp.wc))),
             ("bkm", float(_operator_bound(sp, state.b, regularize=False)[0])),
             ("log_bound", _optional(_log_bound(sp.wa[0], state))),
@@ -159,7 +163,8 @@ def orbit_trace(cfg: OrbitConfig) -> list:
     # row by row: one stack of every rho_t would hold steps + 1 matrices at once
     for k in range(cfg.steps + 1):
         t = k * cfg.t_max / cfg.steps
-        tr_log, rate, _ = _orbit_terms(cfg.m, cfg.y, cfg.gamma, (t,))
+        terms = cfg.start if k == 0 else _orbit_terms(cfg.m, cfg.y, cfg.gamma, (t,))
+        tr_log, rate, _ = terms
         point = _production(cfg.gamma, t, float(rate[0]), cfg.bkm)
         rows.append(
             OrbitRow(

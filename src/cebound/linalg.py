@@ -21,6 +21,7 @@ TRACE_TOL = 1e-12
 SUPPORT_TOL = 1e-12
 SUPPORT_MASS_TOL = 1e-10
 ZERO_B_TOL = 1e-14
+BLOCK_DIAG_TOL = 1e-12
 
 
 def validate_hermitian(h, name: str = "matrix") -> np.ndarray:
@@ -250,7 +251,7 @@ def pythagorean_residual(state: BlockState, sigma) -> float:
     if sigma.shape[0] != state.dim:
         raise DomainError("sigma dimension does not match the state")
     off = sigma[: state.dim_p, state.dim_p :]
-    if np.linalg.norm(off) > 1e-12:
+    if np.linalg.norm(off) > BLOCK_DIAG_TOL:
         raise DomainError("sigma is not block-diagonal in the P (+) Q split")
     rho = state.to_matrix()
     dp = state.dim_p
@@ -409,14 +410,18 @@ def two_level_pure(q: float) -> BlockState:
 
 def state_payload(state: BlockState) -> dict:
     """The JSON state-file object: dims and the matrix as [re, im] pairs."""
-    matrix = [[[z.real, z.imag] for z in row] for row in state.to_matrix()]
+    m = state.to_matrix()
+    matrix = np.stack([m.real, m.imag], axis=-1).tolist()
     return {"dim_p": state.dim_p, "dim_q": state.dim_q, "matrix": matrix}
 
 
 def write_state_json(path, state: BlockState) -> None:
-    """Serialize a BlockState to the JSON state-file format."""
+    """Serialize a BlockState to the JSON state-file format.  Each float is its
+    shortest round-trip repr, so ``read_state_json`` gives the matrix back bit
+    for bit.  ``json.dumps`` encodes in one C pass; ``json.dump`` would not."""
+    text = json.dumps(state_payload(state))
     with open(path, "w") as fh:
-        json.dump(state_payload(state), fh)
+        fh.write(text)
 
 
 def read_state_json(path) -> BlockState:

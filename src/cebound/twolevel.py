@@ -22,6 +22,7 @@ from .errors import DomainError, _fail_first
 
 X_DOMAIN_TOL = 1e-14
 PHI_DXX_SERIES_U = 0.07  # series truncation meets sinh cancellation at ~3e-14
+CHAIN_TOL = 1e-12
 
 
 class TwoLevelParams(NamedTuple):
@@ -126,7 +127,7 @@ def phi_chain_check(a: float, eps: float, x: float) -> ChainCheck:
     val = phi(a, eps, x)
     x_kernel = x * log_mean_kernel(a, eps)
     x_log = x * math.log(a / eps)
-    ok = (val >= x_kernel - 1e-12) and (x_kernel >= x_log - 1e-12)
+    ok = (val >= x_kernel - CHAIN_TOL) and (x_kernel >= x_log - CHAIN_TOL)
     return ChainCheck(phi=val, x_kernel=x_kernel, x_log=x_log, ok=ok)
 
 

@@ -23,6 +23,10 @@ from .twolevel import X_DOMAIN_TOL, TwoLevelParams, _phi, phi
 COMPLETENESS_TOL = 1e-12
 SV_CUTOFF = 1e-12
 MERGE_TOL = 1e-10  # merged output vs (A, sqrt X; sqrt X, E) and Phi(A, E, X)
+MERGE_FLOOR_TOL = 1e-10  # each block's a_j against the floor a0
+MERGE_X_TOL = 1e-12  # total coherence X <= A E
+MERGE_RADII_TOL = 1e-12  # sum_j a_j r_j^2 against A, relative to 1 + A
+OPTIMIZER_TOL = 1e-14  # the optimizer's floor and coherence feasibility
 MAX_ATTEMPTS = 10_000  # rejection-sampling draws of sample_feasible
 
 
@@ -103,6 +107,7 @@ def _svd_pinch(state: BlockState, u, svals, vh) -> PinchedData:
 
 
 POLYGON_TOL = 1e-10
+POLYGON_TARGET_TOL = 1e-12  # the target against the achievable interval
 
 
 def polygon_phases(lengths, target: float) -> np.ndarray:
@@ -128,7 +133,7 @@ def _polygon(lengths, target) -> np.ndarray:
     nonnegative lengths, zero-padded at the end, and ``target`` (...)."""
     total = np.sum(lengths, axis=-1)
     floor = np.maximum(0.0, 2.0 * np.max(lengths, axis=-1) - total)
-    outside = (target < floor - 1e-12) | (target > total + 1e-12)
+    outside = (target < floor - POLYGON_TARGET_TOL) | (target > total + POLYGON_TARGET_TOL)
     message = "target {} outside achievable interval [{}, {}]"
     _fail_first(outside, DomainError, message, target, floor, total)
     # forward: |z_k| reaches exactly [lo_k, hi_k], lo_k the distance from l_k
@@ -202,12 +207,12 @@ def _validate_merge(a, eps, x, eps_rem, a0) -> tuple:
     _fail_first((a0 <= 0.0) | (eps_rem < 0.0) | (a.shape[-1] == 0), DomainError, message)
     floor = a0[..., None]
     message = "block diagonal {} below the floor {}"
-    _fail_first(a < floor - 1e-10, DomainError, message, a, floor)
+    _fail_first(a < floor - MERGE_FLOOR_TOL, DomainError, message, a, floor)
     bad = (eps < 0.0) | (x < 0.0) | (x > a * eps + X_DOMAIN_TOL)
     message = "block ({}, {}, {}) violates 0 <= x <= a*eps"
     _fail_first(bad, DomainError, message, a, eps, x)
     a_m, e_m, x_m = _merge_sums(a, eps, x, eps_rem, a0)
-    _fail_first(x_m > a_m * e_m + 1e-12, DomainError, "total coherence X exceeds A*E")
+    _fail_first(x_m > a_m * e_m + MERGE_X_TOL, DomainError, "total coherence X exceeds A*E")
     return a_m, e_m, x_m
 
 
@@ -241,7 +246,7 @@ def _merge_alphas(a, x, a_m, x_m) -> np.ndarray:
     making alpha_j = r_j e^{i theta_j} give sum_j alpha_j sqrt(x_j) = sqrt(X)."""
     radii = _merge_radii(a, x, a_m, x_m)
     check = np.sum(a * radii * radii, axis=-1)
-    missed = np.abs(check - a_m) > 1e-12 * (1.0 + a_m)
+    missed = np.abs(check - a_m) > MERGE_RADII_TOL * (1.0 + a_m)
     _fail_first(missed, NumericError, "merge radii missed A: {} vs {}", check, a_m)
     return radii * np.exp(1j * _polygon(radii * np.sqrt(x), np.sqrt(x_m)))
 
@@ -304,12 +309,12 @@ def _optimizer_hypotheses(a0: float, eps: float, c: float, d_p: int, d_q: int) -
         raise InfeasibleError("dimensions must be >= 1")
     if a0 <= 0.0 or eps < 0.0 or c < 0.0:
         raise InfeasibleError("need a0 > 0, eps >= 0, c >= 0")
-    if 1.0 - eps < d_p * a0 - 1e-14:
+    if 1.0 - eps < d_p * a0 - OPTIMIZER_TOL:
         raise InfeasibleError(
             f"floor infeasible: 1 - eps = {1.0 - eps} < d_p*a0 = {d_p * a0}"
         )
     a_star = 1.0 - eps - (d_p - 1) * a0
-    if c > a_star * eps + 1e-14:
+    if c > a_star * eps + OPTIMIZER_TOL:
         raise InfeasibleError(
             f"coherence infeasible: c = {c} > a_star*eps = {a_star * eps}"
         )

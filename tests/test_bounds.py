@@ -91,6 +91,23 @@ def test_regularized_report_of_a_pure_state(dim):
     assert min(report.margins.values()) >= -MARGIN_TOL
 
 
+@pytest.mark.parametrize("dim", [2, 32, 50])
+def test_report_a0_reads_the_support_model(dim):
+    # A of a pure state has rank 1, so lambda_min(A) lies in ker A: the report
+    # prints a0 = 0.0, not eigh's rounding-level value (-1.4e-16 at 32 + 32)
+    rng = np.random.default_rng(dim)
+    psi = rng.standard_normal(2 * dim) + 1j * rng.standard_normal(2 * dim)
+    psi /= np.linalg.norm(psi)
+    state = block_decompose(np.outer(psi, psi.conj()), dim)
+    assert np.linalg.eigvalsh(state.a)[0] != 0.0
+    params = bound_report(state, regularize=True).params
+    assert params["a0"] == 0.0 and math.copysign(1.0, params["a0"]) == 1.0
+    assert params["log_ratio"] is None
+    # on a positive definite A, a0 is lambda_min(A) as eigh gives it
+    state = random_block_state(dim, dim, 5)
+    assert bound_report(state).params["a0"] == np.linalg.eigh(state.a)[0][0]
+
+
 # --------------------------------------------------------------- log bound
 
 def test_log_bound_gate():

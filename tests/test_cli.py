@@ -33,7 +33,7 @@ from cebound import (
 )
 from cebound import verify
 from cebound.bkm import PETZ_FUNCTIONS
-from cebound.cli import main
+from cebound.cli import build_parser, main
 from cebound.twolevel import binary_entropy, phi
 from cebound.verify import verify_group
 
@@ -431,14 +431,15 @@ def test_only_the_self_checking_classes_are_dataclasses():
 
 def test_orbit_trace_eigensolver_budget(lapack_calls):
     # one eigh per row gives both the entropy and the rate, so 65 rows cost 65
-    # calls, plus 3 for the config: eigh of A and of C, whose spectra give the
-    # M check, Tr[M log M] and both bounds, and lambda_min of rho for M +- Y.
-    # 68 calls, against 69 when M was diagonalised apart from A and C, and 137
-    # with an eigvalsh and an eigh per row
+    # calls, plus 2 for the config: eigh of A and of C, whose spectra give the
+    # M check, Tr[M log M] and both bounds.  The config's eigh of rho, for
+    # M +- Y, is the t = 0 row.  67 calls, against 68 when the config took
+    # lambda_min of rho apart from row 0, 69 when M was diagonalised apart
+    # from A and C, and 137 with an eigvalsh and an eigh per row
     state = random_block_state(2, 2, 7)
     lapack_calls.clear()
     orbit_trace(OrbitConfig(state=state, gamma=1.5, t_max=2.0, steps=64))
-    assert lapack_calls["eigh"] + lapack_calls["eigvalsh"] <= 68
+    assert lapack_calls["eigh"] + lapack_calls["eigvalsh"] <= 67
 
 
 def test_report_path_lapack_budget(lapack_calls, tmp_path):
@@ -488,6 +489,22 @@ def test_bad_dims_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--dims", "four"])
     assert exc.value.code == 2
+
+
+def test_parser_is_built_once_and_survives_failed_calls(capsys, two_level_file):
+    # main() shares one parser: a usage error or a CeboundError between two
+    # identical reports must leave the second report's output unchanged
+    assert build_parser() is build_parser()
+    first = run(capsys, "report", two_level_file)
+    assert first[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["report", two_level_file, "--bogus"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    infeasible = ["--a0", "0.5", "--eps", "0.05", "--c", "0.0", "--dp", "3", "--dq", "1"]
+    code, _, err = run(capsys, "optimizer", *infeasible)
+    assert code == 2 and "floor" in err
+    assert run(capsys, "report", two_level_file) == first
 
 
 # ------------------------------------------------------------------ report

@@ -1,6 +1,8 @@
 """Hermitian core: validation, block decomposition, pinching, relative entropy."""
 
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -380,7 +382,64 @@ def test_state_json_round_trip(tmp_path):
     write_state_json(path, s)
     back = read_state_json(path)
     assert back.dim_p == 2 and back.dim_q == 3
-    assert np.allclose(back.to_matrix(), s.to_matrix(), atol=1e-15)
+    assert np.array_equal(back.to_matrix(), s.to_matrix())
+
+
+GOLDEN_STATE = pathlib.Path(__file__).parent / "golden" / "boundary_3_2.json"
+
+
+def _reference_state_text(state) -> str:
+    """A state file as json.dump writes it from per-entry [re, im] pairs."""
+    matrix = [[[z.real, z.imag] for z in row] for row in state.to_matrix()]
+    return json.dumps({"dim_p": state.dim_p, "dim_q": state.dim_q, "matrix": matrix})
+
+
+def _writer_states():
+    yield pytest.param(read_state_json(GOLDEN_STATE), id="golden")
+    for dim_p, dim_q in ((1, 1), (2, 3), (8, 5), (32, 32)):
+        yield pytest.param(random_block_state(dim_p, dim_q, 17), id=f"ginibre-{dim_p}-{dim_q}")
+        boundary = random_block_state(
+            dim_p, dim_q, 17, "boundary", a0=0.6 / dim_p, eps_q=0.2 / dim_p
+        )
+        yield pytest.param(boundary, id=f"boundary-{dim_p}-{dim_q}")
+
+
+@pytest.mark.parametrize("state", list(_writer_states()))
+def test_state_file_bytes_and_round_trip(tmp_path, state):
+    # one json.dumps pass writes what json.dump of the per-entry pairs wrote,
+    # byte for byte, and reading the file gives the matrix back bit for bit
+    path = tmp_path / "state.json"
+    write_state_json(path, state)
+    assert path.read_bytes() == _reference_state_text(state).encode()
+    back = read_state_json(path)
+    assert (back.dim_p, back.dim_q) == (state.dim_p, state.dim_q)
+    assert np.array_equal(back.to_matrix(), state.to_matrix())
+
+
+def test_state_file_bytes_of_extreme_floats(tmp_path):
+    # signed zeros, the least subnormal and entries near both ends of the float
+    # range are written as json.dump wrote them (the state is not a density
+    # matrix, so it is not read back)
+    state = BlockState(
+        dim_p=1,
+        dim_q=2,
+        a=np.array([[complex(1e300, -0.0)]]),
+        b=np.array([[complex(5e-324, 1e-300), complex(-0.0, 5e-324)]]),
+        c=np.array([[complex(-0.0, -0.0), complex(1e-300, -1e300)],
+                    [complex(1e-300, 1e300), complex(-1e-300, 0.0)]]),
+    )
+    path = tmp_path / "state.json"
+    write_state_json(path, state)
+    text = path.read_text()
+    assert text == _reference_state_text(state)
+    for literal in ("-0.0", "5e-324", "1e-300", "1e+300"):
+        assert literal in text
+
+
+def test_golden_state_file_rewrites_to_its_bytes(tmp_path):
+    path = tmp_path / "state.json"
+    write_state_json(path, read_state_json(GOLDEN_STATE))
+    assert path.read_bytes() == GOLDEN_STATE.read_bytes()
 
 
 def test_state_json_rejects_non_psd(tmp_path):
