@@ -5,8 +5,10 @@ within GOLDEN_REL * (1 + |x|), so that another BLAS may change the last bits.
 The files in tests/golden/ were written by the commands below, from the repo
 root, with PYTHONPATH=src:
 
-    python -m cebound.cli verify --dims 1..4 --trials 20 --seed 7 \
-        > tests/golden/verify_1-4_t20_s7.json
+    for s in 7 1 11; do python -m cebound.cli verify --dims 1..4 --trials 20 \
+        --seed $s > tests/golden/verify_1-4_t20_s$s.json; done
+    python -m cebound.cli verify --dims 32..32 --trials 4 --seed 7 \
+        > tests/golden/verify_32-32_t4_s7.json
     python -c "from cebound import random_block_state, write_state_json; \
         write_state_json('tests/golden/boundary_3_2.json', \
         random_block_state(3, 2, 3, 'boundary', a0=0.2, eps_q=0.2 / 3))"
@@ -23,6 +25,8 @@ import csv
 import json
 import math
 from pathlib import Path
+
+import pytest
 
 from cebound.cli import main
 
@@ -61,9 +65,14 @@ def _csv_rows(path):
         ]
 
 
-def test_verify_matches_golden(capsys):
-    argv = ["verify", "--dims", "1..4", "--trials", "20", "--seed", "7"]
-    want = json.loads((GOLDEN / "verify_1-4_t20_s7.json").read_text())
+@pytest.mark.parametrize(
+    ("dims", "trials", "seed"),
+    [("1..4", 20, 7), ("1..4", 20, 1), ("1..4", 20, 11), ("32..32", 4, 7)],
+)
+def test_verify_matches_golden(capsys, dims, trials, seed):
+    argv = ["verify", "--dims", dims, "--trials", str(trials), "--seed", str(seed)]
+    name = f"verify_{dims.replace('..', '-')}_t{trials}_s{seed}.json"
+    want = json.loads((GOLDEN / name).read_text())
     assert_matches(_stdout_json(capsys, argv), want)
 
 
