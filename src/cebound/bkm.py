@@ -187,15 +187,14 @@ def bkm_hessian(n, y) -> float:
     return petz_form(n, y, "bkm")
 
 
-def _check_midpoint(m_min, rho_min) -> None:
-    """Raise unless M clears POSITIVITY_FLOOR and M +- Y is positive semidefinite,
-    given lambda_min of M and of M + Y = rho (arrays over a stack, or scalars).
+def _check_midpoint(rho_min) -> None:
+    """Raise unless M +- Y is positive semidefinite, given lambda_min of
+    M + Y = rho (an array over a stack, or a scalar).
 
-    M - Y = U (M + Y) U* with U = I (+) -I, so it has the spectrum of M + Y
-    and one lambda_min serves both signs.
+    M - tY = U (M + tY) U* and U Y U* = -Y with U = I (+) -I, so one lambda_min
+    serves both signs at t = 1, and g_{M-tY}(Y, Y) = g_{M+tY}(Y, Y) for every
+    Petz metric.  M > 0 is gated by the BKM form and by M in the midpoint stack.
     """
-    message = "pinched state M must be positive definite"
-    _fail_first(m_min <= POSITIVITY_FLOOR, PositivityError, message)
     _fail_first(rho_min < -PSD_TOL, DomainError, "M +- Y must be positive semidefinite")
 
 
@@ -230,34 +229,34 @@ def midpoint_margins(state: BlockState, t_grid, tags) -> dict:
     # M +- tY has the Hermitian defect of M and at least its scale.
     m = validate_hermitian(pinch(state), "M")
     y = validate_hermitian(state.off_diagonal(), "Y")
-    _check_midpoint(np.linalg.eigvalsh(m)[0], np.linalg.eigvalsh(m + y)[0])
-    return _midpoint_margins(m, y, t_grid, tags)
-
-
-def _midpoint_margins(m, y, t_grid, tags) -> dict:
-    """The body of ``midpoint_margins`` on M and Y with any leading stack axes;
-    each margin array gains the t axis last."""
     t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(t_grid < 0.0) or np.any(t_grid >= 1.0):
+    if not np.all((t_grid >= 0.0) & (t_grid < 1.0)):  # NaN fails too
         raise DomainError("every t must lie in [0, 1)")
-    shifts = np.concatenate(([0.0], t_grid, -t_grid))
+    _check_midpoint(np.linalg.eigvalsh(m + y)[0])
+    n_t = len(t_grid)
+    both = _midpoint_margins(m, y, np.concatenate((t_grid, -t_grid)), tags)
+    for tag, vals in both.items():
+        gap = np.abs(vals[:n_t] - vals[n_t:])
+        message = f"midpoint symmetry violated at t={{}} for tag {tag!r}: "
+        message += "|g+ - g-| = {:.3e}"
+        _fail_first(gap > SYMMETRY_TOL, NumericError, message, t_grid, gap)
+    return {tag: vals[:n_t] for tag, vals in both.items()}
+
+
+def _midpoint_margins(m, y, shifts, tags) -> dict:
+    """{tag: g^f_{M+tY}(Y,Y) - g^f_M(Y,Y) over t in ``shifts``} from one stacked
+    eigh of M and each M + tY, every member (M too) gated by POSITIVITY_FLOOR.
+    Over leading stack axes of M and Y, each margin array gains the t axis
+    last.  The caller checks the domain of t."""
+    shifts = np.concatenate(([0.0], shifts))
     y = y[..., None, :, :]
     w, v = np.linalg.eigh(m[..., None, :, :] + shifts[:, None, None] * y)
     low = w[..., 0]
     message = "M + tY must be positive definite at t = {}, lambda_min = {:.3e}"
     _fail_first(low <= POSITIVITY_FLOOR, PositivityError, message, shifts, low)
     sq = np.abs(_rotate(v, y, v)) ** 2
-    n_t = len(t_grid)
-    out = {}
-    for tag in tags:
-        vals = _form(sq, w, w, tag)
-        plus, minus = vals[..., 1 : n_t + 1], vals[..., n_t + 1 :]
-        gap = np.abs(plus - minus)
-        message = f"midpoint symmetry violated at t={{}} for tag {tag!r}: "
-        message += "|g+ - g-| = {:.3e}"
-        _fail_first(gap > SYMMETRY_TOL, NumericError, message, t_grid, gap)
-        out[tag] = plus - vals[..., :1]
-    return out
+    forms = {tag: _form(sq, w, w, tag) for tag in tags}
+    return {tag: g[..., 1:] - g[..., :1] for tag, g in forms.items()}
 
 
 def midpoint_margin(state: BlockState, t_grid) -> np.ndarray:

@@ -52,7 +52,7 @@ class OrbitConfig:
         sp = _block_spectra(state)
         m, y = pinch(state), state.off_diagonal()
         start = _orbit_terms(m, y, self.gamma, (0.0,))
-        _check_midpoint(min(sp.wa[0], sp.wc[0]), start[2][0, 0])
+        _check_midpoint(start[2][0, 0])
         for name, value in (
             ("m", m),
             ("y", y),

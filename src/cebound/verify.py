@@ -32,7 +32,7 @@ MIDPOINT_GRID = (0.25, 0.5, 0.75, 0.9)
 DEPHASING_TIMES = (0.0, 0.5, 1.0)
 ENSEMBLES = ("ginibre", "boundary")
 # Cap on the entries of the largest stacked array of a verify chunk (the
-# midpoint grid, 9 matrices of d x d per state): at d = 64 a chunk is one
+# midpoint grid, 5 matrices of d x d per state): at d = 64 a chunk is one
 # trial, so memory stays that of evaluating states one by one.
 STACK_ELEMENTS = 1 << 16
 
@@ -69,7 +69,7 @@ def _stack_margins(state: BlockState, sigma: BlockState) -> dict:
     # gamma = 1; the t = 0 row is M + 1 Y, bit for bit rho
     _, rates, w_orbit = _orbit_terms(m, y, 1.0, DEPHASING_TIMES)
     w_rho = w_orbit[:, 0]
-    _check_midpoint(np.minimum(sp.wa[:, 0], sp.wc[:, 0]), w_rho[:, 0])
+    _check_midpoint(w_rho[:, 0])
     rho = state.to_matrix()
     svd = np.linalg.svd(state.b)
     bounds, _ = _bounds(state, sp, rho, w_rho, svd[1])
@@ -109,7 +109,7 @@ def verify_group(dim_p: int, dim_q: int, trials: int, seed: int) -> dict:
         raise DomainError("dimensions must be >= 1")
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
-    trial_entries = len(ENSEMBLES) * (1 + 2 * len(MIDPOINT_GRID)) * (dim_p + dim_q) ** 2
+    trial_entries = len(ENSEMBLES) * (1 + len(MIDPOINT_GRID)) * (dim_p + dim_q) ** 2
     per_chunk = max(1, STACK_ELEMENTS // trial_entries)
     chunks = []
     for start in range(0, trials, per_chunk):

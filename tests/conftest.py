@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -32,15 +33,19 @@ def rng():
 def lapack_calls(monkeypatch):
     """Counter of np.linalg eigh, eigvalsh and svd calls by name, from now on.
 
-    ``clear()`` it after building inputs that should not count.
+    ``clear()`` it after building inputs that should not count.  Its
+    ``matrices`` Counter, cleared on its own, counts the matrices those calls
+    received by name: a stacked call adds its batch size.
     """
     calls = Counter()
+    calls.matrices = Counter()
     for name in ("eigh", "eigvalsh", "svd"):
         original = getattr(np.linalg, name)
 
-        def counted(*args, _original=original, _name=name, **kwargs):
+        def counted(x, *args, _original=original, _name=name, **kwargs):
             calls[_name] += 1
-            return _original(*args, **kwargs)
+            calls.matrices[_name] += math.prod(np.shape(x)[:-2])
+            return _original(x, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
     return calls

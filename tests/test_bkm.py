@@ -285,6 +285,8 @@ def test_midpoint_rejects_bad_grid():
         midpoint_margin(s, [1.0])
     with pytest.raises(DomainError):
         midpoint_margin(s, [-0.1])
+    with pytest.raises(DomainError):  # not numpy's LinAlgError from eigh
+        midpoint_margin(s, [0.5, float("nan")])
 
 
 # ---------------------------------------------------------- Petz metrics
@@ -386,6 +388,16 @@ def test_midpoint_margins_symmetry_check_runs_for_every_tag(monkeypatch):
             midpoint_margins(s, [0.5], (tag,))
     with pytest.raises(NumericError):
         midpoint_margin(s, [0.5])
+
+
+def test_midpoint_margins_lapack_budget(lapack_calls):
+    # one eigvalsh of rho for M +- Y and one stacked eigh of M and each M +- tY,
+    # whose t = 0 member is the M > 0 gate: 2 calls, against 3 when M took an
+    # eigvalsh of its own
+    s = random_block_state(3, 2, 49)
+    lapack_calls.clear()
+    midpoint_margins(s, [0.25, 0.5], tuple(PETZ_FUNCTIONS))
+    assert sum(lapack_calls.values()) <= 2
 
 
 def test_midpoint_margins_unknown_tag():

@@ -18,6 +18,7 @@ from cebound import (
     DomainError,
     OrbitConfig,
     PositivityError,
+    block_decompose,
     bound_report,
     entropy_production,
     midpoint_margins,
@@ -146,6 +147,48 @@ def test_verify_group_diagonalises_each_sigma_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted)
     verify_group(2, 3, 8, 7)
     assert members[2] == 32 and members[3] == 32
+
+
+def test_verify_group_midpoint_stack_is_m_and_each_m_plus_ty(lapack_calls):
+    # per trial, eigh receives 4 blocks of A (the sampler's raw A, A of both
+    # ensembles, sigma's A), 4 of C, rho_t of both ensembles at the 3
+    # dephasing times, and the midpoint stack of both ensembles: M and each
+    # M + tY, 2 x (1 + 4) matrices.  With each M - tY as well, the stack took
+    # 2 x (1 + 2 x 4), and the 8 trials 256 matrices against 192
+    trials, states = 8, len(verify.ENSEMBLES)
+    verify_group(2, 3, trials, 7)
+    midpoint = states * (1 + len(verify.MIDPOINT_GRID))
+    per_trial = 4 + 4 + states * len(verify.DEPHASING_TIMES) + midpoint
+    assert lapack_calls.matrices["eigh"] == trials * per_trial
+
+
+def test_verify_group_trusts_the_midpoint_symmetry(monkeypatch):
+    # g_{M+tY} = g_{M-tY} is exact (see bkm._check_midpoint), so verify never
+    # checks it: a tolerance that every pair fails leaves its margins as they are
+    want = verify_group(2, 2, 2, 7)
+    monkeypatch.setattr(cebound.bkm, "SYMMETRY_TOL", -1.0)
+    got = verify_group(2, 2, 2, 7)
+    assert all(np.array_equal(got[name], want[name]) for name in want)
+
+
+def test_singular_m_is_gated_by_the_midpoint_stack_and_the_bkm_form(capsys, tmp_path):
+    # a pure 2 + 2 state has rank-1 A and C, so M is singular.  M > 0 has no
+    # check of its own: the t = 0 member of the midpoint stack gates it in
+    # midpoint_margins, and the BKM form in OrbitConfig and the orbit command
+    rng = np.random.default_rng(12)
+    psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    psi /= np.linalg.norm(psi)
+    state = block_decompose(np.outer(psi, psi.conj()), 2)
+    with pytest.raises(PositivityError, match=r"at t = 0\.0,"):
+        midpoint_margins(state, verify.MIDPOINT_GRID, ("bkm",))
+    with pytest.raises(PositivityError):
+        OrbitConfig(state=state, gamma=1.0, t_max=2.0, steps=2)
+    path = tmp_path / "pure.json"
+    write_state_json(path, state)
+    argv = ["orbit", str(path), "--gamma", "1", "--t-max", "2", "--steps", "2"]
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "orbit.csv"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def _trial_seed(dim_p, dim_q, trial, seed):
@@ -280,7 +323,7 @@ def test_verify_group_matches_per_state_functions(dim_p, dim_q):
 
 def test_verify_group_spanning_chunks_matches_per_state_functions(monkeypatch):
     # room for two trials of (3, 2) per chunk: 5 trials take three chunks
-    monkeypatch.setattr(verify, "STACK_ELEMENTS", 2 * 2 * 9 * 5**2)
+    monkeypatch.setattr(verify, "STACK_ELEMENTS", 2 * 2 * 5 * 5**2)
     _assert_matches_reference(3, 2, 5, 7)
 
 
