@@ -13,10 +13,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NumericError, PositivityError, _fail_first
-from .linalg import PSD_TOL, BlockState, pinch, validate_hermitian
+from .errors import DomainError, NumericError, PositivityError, ValidationError, _fail_first
+from .linalg import POSITIVITY_FLOOR, PSD_TOL, BlockState, _validated_spectra, pinch
+from .linalg import validate_hermitian
 
-POSITIVITY_FLOOR = 1e-12
 _SERIES_THRESHOLD = 1e-8
 
 
@@ -52,9 +52,8 @@ def _kernel(lam: np.ndarray, mu: np.ndarray, tag: str = "bkm") -> np.ndarray:
 
     ``"bkm"`` is the series-stable reciprocal logarithmic mean; every other tag
     is 1/(mu_j f(lam_i/mu_j)).  Leading axes of ``lam`` and ``mu`` broadcast.
+    The public callers check the tag (``_check_tags``).
     """
-    if tag not in PETZ_FUNCTIONS:
-        raise DomainError(f"unknown operator-monotone tag {tag!r}")
     x = lam[..., :, None]
     y = mu[..., None, :]
     if tag == "bkm":
@@ -76,40 +75,35 @@ def _form(sq, lam, mu, tag: str = "bkm"):
     return np.sum(sq * _kernel(lam, mu, tag), axis=(-2, -1))
 
 
-def _check_positive(w, name: str) -> None:
-    """Raise unless the ascending spectrum ``w`` clears POSITIVITY_FLOOR, for
-    every member when ``w`` carries leading stack axes."""
-    message = f"{name} must be positive definite, lambda_min = {{:.3e}}"
-    _fail_first(w[..., 0] <= POSITIVITY_FLOOR, PositivityError, message, w[..., 0])
-
-
-def _eigh_positive(h, name: str):
-    h = validate_hermitian(h, name)
-    w, v = np.linalg.eigh(h)
-    _check_positive(w, name)
-    return w, v
+def _positive_spectra(a, c, b):
+    """The validated block spectra of A and C, past the positivity gate, and B
+    as a finite d_A x d_C array: the one entry of the functions of (A, C, B)."""
+    sp = _validated_spectra(a, c)
+    b = np.asarray(b, dtype=complex)
+    shape = (len(sp.wa), len(sp.wc))
+    if b.shape != shape:
+        raise ValidationError(f"B must have shape {shape}, got {b.shape}")
+    if not np.all(np.isfinite(b)):
+        raise ValidationError("B has non-finite entries")
+    sp.check_positive()
+    return sp, b
 
 
 def bkm_apply(a, c, b) -> np.ndarray:
     """Omega^{-1}(B) = int_0^inf (A + r)^{-1} B (C + r)^{-1} dr, spectrally."""
-    wa, va = _eigh_positive(a, "A")
-    wc, vc = _eigh_positive(c, "C")
-    bt = _rotate(va, np.asarray(b, dtype=complex), vc)
-    return va @ (bt * _kernel(wa, wc)) @ vc.conj().T
+    sp, b = _positive_spectra(a, c, b)
+    bt = _rotate(sp.va, b, sp.vc)
+    return sp.va @ (bt * _kernel(sp.wa, sp.wc)) @ sp.vc.conj().T
 
 
-def _spectral_bkm_form(wa, va, wc, vc, b) -> np.ndarray:
-    """bkm_form from the eigenpairs (wa, va) of A and (wc, vc) of C, over any
-    leading stack axes."""
-    bt = _rotate(va, np.asarray(b, dtype=complex), vc)
-    return _form(np.abs(bt) ** 2, wa, wc)
+def _spectral_bkm_form(sp, b) -> np.ndarray:
+    """bkm_form from the block spectra of A and C, over any leading stack axes."""
+    return _form(np.abs(_rotate(sp.va, b, sp.vc)) ** 2, sp.wa, sp.wc)
 
 
 def bkm_form(a, c, b) -> float:
     """Tr[B* Omega^{-1}(B)] = sum_{ab} |B~_{ab}|^2 L(a_a, c_b) >= 0."""
-    return float(
-        _spectral_bkm_form(*_eigh_positive(a, "A"), *_eigh_positive(c, "C"), b)
-    )
+    return float(_spectral_bkm_form(*_positive_spectra(a, c, b)))
 
 
 class ChannelWeights(NamedTuple):
@@ -130,13 +124,11 @@ def channel_weights(a, c, b) -> ChannelWeights:
 
     B = 0 returns all-zero weights with frob_sq = 0 by convention.
     """
-    wa, va = _eigh_positive(a, "A")
-    wc, vc = _eigh_positive(c, "C")
-    b = np.asarray(b, dtype=complex)
+    sp, b = _positive_spectra(a, c, b)
     frob_sq = float(np.sum(np.abs(b) ** 2))
-    sq = np.abs(_rotate(va, b, vc)) ** 2
+    sq = np.abs(_rotate(sp.va, b, sp.vc)) ** 2
     weights = sq / frob_sq if frob_sq > 0.0 else np.zeros(sq.shape)
-    return ChannelWeights(weights=weights, a_eigen=wa, c_eigen=wc, frob_sq=frob_sq)
+    return ChannelWeights(weights=weights, a_eigen=sp.wa, c_eigen=sp.wc, frob_sq=frob_sq)
 
 
 def bkm_quadrature(a, c, b, tol: float = 1e-10) -> float:
@@ -146,11 +138,9 @@ def bkm_quadrature(a, c, b, tol: float = 1e-10) -> float:
     a dyadically refined partition of (0, 1) until two successive refinement
     levels agree to ``tol`` relative.
     """
-    wa, _ = _eigh_positive(a, "A")
-    wc, _ = _eigh_positive(c, "C")
+    _, b = _positive_spectra(a, c, b)
     a = np.asarray(a, dtype=complex)
     c = np.asarray(c, dtype=complex)
-    b = np.asarray(b, dtype=complex)
     dp, dq = b.shape
     eye_p = np.eye(dp)
     eye_q = np.eye(dq)
@@ -209,10 +199,22 @@ PETZ_FUNCTIONS = {
 }
 
 
+def _check_tags(tags) -> None:
+    """Raise DomainError at the first tag that names no Petz function."""
+    for tag in tags:
+        if tag not in PETZ_FUNCTIONS:
+            raise DomainError(f"unknown operator-monotone tag {tag!r}")
+
+
 def petz_form(n, y, tag: str) -> float:
     """Petz monotone metric g^f_N(Y, Y) = sum_{ij} |Y~_{ij}|^2 / (nu_j f(nu_i/nu_j))."""
-    wn, vn = _eigh_positive(n, "N")
-    y = validate_hermitian(y, "Y")
+    _check_tags((tag,))
+    n, y = validate_hermitian(n, "N"), validate_hermitian(y, "Y")
+    if y.shape != n.shape:
+        raise ValidationError(f"Y must have the shape of N, {n.shape}, got {y.shape}")
+    wn, vn = np.linalg.eigh(n)
+    message = "N must be positive definite, lambda_min = {:.3e}"
+    _fail_first(wn[0] <= POSITIVITY_FLOOR, PositivityError, message, wn[0])
     return float(_form(np.abs(_rotate(vn, y, vn)) ** 2, wn, wn, tag))
 
 
@@ -225,6 +227,7 @@ def midpoint_margins(state: BlockState, t_grid, tags) -> dict:
     every tag must satisfy the block-sign symmetry g_{M+tY} = g_{M-tY} to
     SYMMETRY_TOL.
     """
+    _check_tags(tags)
     # Y is exactly Hermitian and vanishes on the diagonal blocks, so each
     # M +- tY has the Hermitian defect of M and at least its scale.
     m = validate_hermitian(pinch(state), "M")

@@ -12,15 +12,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bkm import POSITIVITY_FLOOR, _check_positive, _spectral_bkm_form
-from .bkm import bkm_form, log_mean_kernel
-from .errors import DomainError, InfeasibleError, PositivityError, _fail_first
+from .bkm import _spectral_bkm_form, bkm_form, log_mean_kernel
+from .errors import DomainError, InfeasibleError, ValidationError, _fail_first
 from .linalg import (
+    POSITIVITY_FLOOR,
     BlockState,
+    _BlockSpectra,
     _adjoint,
     _block_diag,
     _coherence_entropy,
     _support,
+    _validated_spectra,
     two_level_pure,
     validate_hermitian,
 )
@@ -32,23 +34,6 @@ REG_MIN_SHIFT = 1.5e-12  # above POSITIVITY_FLOOR by far more than eigh rounding
 FIDELITY_PSD_TOL = 1e-14
 
 
-class _BlockSpectra(NamedTuple):
-    """Ascending eigenvalues and eigenvectors of the diagonal blocks A and C,
-    with the leading stack axes of the blocks, if any."""
-
-    wa: np.ndarray
-    va: np.ndarray
-    wc: np.ndarray
-    vc: np.ndarray
-
-
-def _block_spectra(state: BlockState) -> _BlockSpectra:
-    """One validated eigendecomposition of each diagonal block."""
-    wa, va = np.linalg.eigh(validate_hermitian(state.a, "A"))
-    wc, vc = np.linalg.eigh(validate_hermitian(state.c, "C"))
-    return _BlockSpectra(wa, va, wc, vc)
-
-
 def _operator_bound(sp: _BlockSpectra, b, regularize: bool) -> tuple[np.ndarray, bool]:
     """The BKM form from the block spectra, and whether it was regularized.
 
@@ -56,17 +41,17 @@ def _operator_bound(sp: _BlockSpectra, b, regularize: bool) -> tuple[np.ndarray,
     spectra are (1-delta) w + delta/d, delta/d >= REG_MIN_SHIFT.  Over a stack,
     every member is regularized when one needs it; only single states ask for it.
     """
-    if np.all(np.minimum(sp.wa[..., 0], sp.wc[..., 0]) > POSITIVITY_FLOOR):
-        return _spectral_bkm_form(*sp, b), False
-    if not regularize:
-        raise PositivityError("operator_bound requires A > 0 and C > 0")
-    d = sp.wa.shape[-1] + sp.wc.shape[-1]
-    delta = max(REG_DELTA, d * REG_MIN_SHIFT)
-    wa = (1.0 - delta) * sp.wa + delta / d
-    wc = (1.0 - delta) * sp.wc + delta / d
-    _check_positive(wa, "A")
-    _check_positive(wc, "C")
-    return _spectral_bkm_form(wa, sp.va, wc, sp.vc, (1.0 - delta) * b), True
+    low = np.minimum(sp.wa[..., 0], sp.wc[..., 0])
+    regularized = regularize and not np.all(low > POSITIVITY_FLOOR)
+    if regularized:
+        d = sp.wa.shape[-1] + sp.wc.shape[-1]
+        delta = max(REG_DELTA, d * REG_MIN_SHIFT)
+        wa = (1.0 - delta) * sp.wa + delta / d
+        wc = (1.0 - delta) * sp.wc + delta / d
+        sp = sp._replace(wa=wa, wc=wc)
+        b = (1.0 - delta) * b
+    sp.check_positive()
+    return _spectral_bkm_form(sp, b), regularized
 
 
 def operator_bound(state: BlockState, regularize: bool = False) -> float:
@@ -75,7 +60,7 @@ def operator_bound(state: BlockState, regularize: bool = False) -> float:
     Singular A or C raises unless ``regularize`` is set, in which case the
     bound is computed on (1-delta) rho + (delta/d) I, delta = max(1e-10, 1.5e-12 d).
     """
-    return float(_operator_bound(_block_spectra(state), state.b, regularize)[0])
+    return float(_operator_bound(_validated_spectra(state.a, state.c), state.b, regularize)[0])
 
 
 def _log_bound(a0, state: BlockState) -> np.ndarray:
@@ -97,7 +82,7 @@ def _optional(value) -> float | None:
 def log_boundary_bound(state: BlockState) -> float | None:
     """||B||_F^2 log(lambda_min(A)/Tr C), or None when the hypothesis
     0 < Tr C < lambda_min(A) fails."""
-    return _optional(_log_bound(np.linalg.eigvalsh(state.a)[0], state))
+    return _optional(_log_bound(_validated_spectra(state.a, state.c).wa[0], state))
 
 
 def trace_norm(m) -> float:
@@ -134,9 +119,12 @@ def _fidelity(rho, sqrt_sigma) -> np.ndarray:
 
 
 def fidelity(rho, sigma) -> float:
-    """Uhlmann fidelity F(rho, sigma) = Tr sqrt(sqrt(sigma) rho sqrt(sigma))."""
-    sqrt_sigma = _psd_sqrt(*np.linalg.eigh(np.asarray(sigma, dtype=complex)))
-    return float(_fidelity(np.asarray(rho, dtype=complex), sqrt_sigma))
+    """Uhlmann fidelity F(rho, sigma) = Tr sqrt(sqrt(sigma) rho sqrt(sigma)), for
+    Hermitian rho and sigma of one shape."""
+    rho, sigma = validate_hermitian(rho, "rho"), validate_hermitian(sigma, "sigma")
+    if rho.shape != sigma.shape:
+        raise ValidationError(f"rho and sigma differ in shape: {rho.shape} vs {sigma.shape}")
+    return float(_fidelity(rho, _psd_sqrt(*np.linalg.eigh(sigma))))
 
 
 def _fidelity_bound(sp: _BlockSpectra, rho: np.ndarray) -> np.ndarray:
@@ -148,7 +136,7 @@ def _fidelity_bound(sp: _BlockSpectra, rho: np.ndarray) -> np.ndarray:
 
 def fidelity_bound(state: BlockState) -> float:
     """-2 log F(rho, pinch(rho))."""
-    return float(_fidelity_bound(_block_spectra(state), state.to_matrix()))
+    return float(_fidelity_bound(_validated_spectra(state.a, state.c), state.to_matrix()))
 
 
 class _Bounds(NamedTuple):
@@ -215,7 +203,7 @@ def bound_report(state: BlockState, regularize: bool = False) -> BoundReport:
     One eigendecomposition of each of A and C, one eigvalsh of rho and one
     SVD of B serve every bound.
     """
-    sp = _block_spectra(state)
+    sp = _validated_spectra(state.a, state.c)
     rho = state.to_matrix()
     svals = np.linalg.svd(state.b, compute_uv=False)
     bounds, used_reg = _bounds(

@@ -14,9 +14,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .bkm import _check_midpoint
-from .bounds import _block_spectra, _log_bound, _operator_bound, _optional
+from .bounds import _log_bound, _operator_bound, _optional
 from .errors import DomainError, _fail_first
-from .linalg import BlockState, _trace_log, _xlogx_sum, pinch
+from .linalg import BlockState, _trace_log, _validated_spectra, _xlogx_sum, pinch
 
 RATE_REL_TOL = 1e-6
 
@@ -49,7 +49,7 @@ class OrbitConfig:
         if not finite or self.steps < 2:
             raise DomainError("need finite gamma > 0, finite t_max > 0, steps >= 2")
         state = self.state
-        sp = _block_spectra(state)
+        sp = _validated_spectra(state.a, state.c)
         m, y = pinch(state), state.off_diagonal()
         start = _orbit_terms(m, y, self.gamma, (0.0,))
         _check_midpoint(start[2][0, 0])

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, InfeasibleError, PositivityError, ValidationError, _fail_first
 
 HERM_TOL = 1e-12
+POSITIVITY_FLOOR = 1e-12
 PSD_TOL = 1e-12
 TRACE_TOL = 1e-12
 SUPPORT_TOL = 1e-12
@@ -125,9 +127,35 @@ def _block_diag(x, z) -> np.ndarray:
     return out
 
 
-def _join_spectra(wx, vx, wz, vz):
-    """Eigenpairs of X (+) Z from those of X and Z (eigenvalues not sorted)."""
-    return np.concatenate([wx, wz], axis=-1), _block_diag(vx, vz)
+class _BlockSpectra(NamedTuple):
+    """Ascending eigenvalues and eigenvectors of the diagonal blocks A and C,
+    with the leading stack axes of the blocks, if any."""
+
+    wa: np.ndarray
+    va: np.ndarray
+    wc: np.ndarray
+    vc: np.ndarray
+
+    def joined(self):
+        """Eigenpairs of M = A (+) C (eigenvalues not sorted)."""
+        return np.concatenate([self.wa, self.wc], axis=-1), _block_diag(self.va, self.vc)
+
+    def check_positive(self) -> None:
+        """Raise unless A and C clear POSITIVITY_FLOOR, the BKM domain, for every
+        member of a stack; the error names the block and its lambda_min."""
+        for name, w in (("A", self.wa), ("C", self.wc)):
+            message = f"{name} must be positive definite, lambda_min = {{:.3e}}"
+            _fail_first(w[..., 0] <= POSITIVITY_FLOOR, PositivityError, message, w[..., 0])
+
+
+def _block_spectra(a, c) -> _BlockSpectra:
+    """One eigh each of trusted A and C, over any leading stack axes."""
+    return _BlockSpectra(*np.linalg.eigh(a), *np.linalg.eigh(c))
+
+
+def _validated_spectra(a, c) -> _BlockSpectra:
+    """The block spectra of one A and C, each validated Hermitian first."""
+    return _block_spectra(validate_hermitian(a, "A"), validate_hermitian(c, "C"))
 
 
 def block_decompose(rho, dim_p: int) -> BlockState:
@@ -255,10 +283,8 @@ def pythagorean_residual(state: BlockState, sigma) -> float:
         raise DomainError("sigma is not block-diagonal in the P (+) Q split")
     rho = state.to_matrix()
     dp = state.dim_p
-    m_spectra = _join_spectra(*np.linalg.eigh(state.a), *np.linalg.eigh(state.c))
-    s_spectra = _join_spectra(
-        *np.linalg.eigh(sigma[:dp, :dp]), *np.linalg.eigh(sigma[dp:, dp:])
-    )
+    m_spectra = _block_spectra(state.a, state.c).joined()
+    s_spectra = _block_spectra(sigma[:dp, :dp], sigma[dp:, dp:]).joined()
     return float(
         _pythagorean(rho, np.linalg.eigvalsh(rho), pinch(state), m_spectra, s_spectra)
     )

@@ -12,15 +12,15 @@ from __future__ import annotations
 import numpy as np
 
 from .bkm import PETZ_FUNCTIONS, _check_midpoint, _midpoint_margins
-from .bounds import _BlockSpectra, _bounds
+from .bounds import _bounds
 from .dephasing import _orbit_terms, _production
 from .errors import CeboundError, DomainError
 from .linalg import (
     BlockState,
+    _block_spectra,
     _boundary_state,
     _ginibre_density,
     _ginibre_draw,
-    _join_spectra,
     _pythagorean,
     _split,
     _stack,
@@ -64,7 +64,7 @@ def _stack_margins(state: BlockState, sigma: BlockState) -> dict:
     included; one stacked eigh of rho_t serves the three dephasing rates and,
     at t = 0, the spectrum of rho.
     """
-    sp = _BlockSpectra(*np.linalg.eigh(state.a), *np.linalg.eigh(state.c))
+    sp = _block_spectra(state.a, state.c)
     m, y = pinch(state), state.off_diagonal()
     # gamma = 1; the t = 0 row is M + 1 Y, bit for bit rho
     _, rates, w_orbit = _orbit_terms(m, y, 1.0, DEPHASING_TIMES)
@@ -85,8 +85,8 @@ def _stack_margins(state: BlockState, sigma: BlockState) -> dict:
         axis=0,
     )
 
-    m_spectra = _join_spectra(*sp)
-    s_spectra = _join_spectra(*np.linalg.eigh(sigma.a), *np.linalg.eigh(sigma.c))
+    m_spectra = sp.joined()
+    s_spectra = _block_spectra(sigma.a, sigma.c).joined()
     s_spectra = [np.repeat(x, len(rho) // len(sigma.a), axis=0) for x in s_spectra]
     margins["pythagorean"] = -np.abs(_pythagorean(rho, w_rho, m, m_spectra, s_spectra))
     pinched, merged = _pipeline(state, sp.wa[:, 0], svd)

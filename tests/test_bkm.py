@@ -146,6 +146,21 @@ def test_bkm_apply_rejects_singular():
         bkm_apply(np.diag([1.0, 0.0]), np.eye(1), np.ones((2, 1)))
 
 
+@pytest.mark.parametrize(
+    "func", [bkm_form, bkm_apply, channel_weights, bkm_quadrature], ids=lambda f: f.__name__
+)
+def test_bad_b_is_a_validation_error(func):
+    # B must be d_A x d_C and finite: a mis-shaped B raised numpy's untyped
+    # ValueError, and a NaN in B made bkm_form return nan
+    a, c = 0.6 * np.eye(2), 0.4 * np.eye(3)
+    with pytest.raises(ValidationError, match=r"B must have shape \(2, 3\), got \(3, 2\)"):
+        func(a, c, np.ones((3, 2)))
+    b = np.ones((2, 3), dtype=complex)
+    b[1, 2] = complex(0.0, np.nan)
+    with pytest.raises(ValidationError, match="B has non-finite entries"):
+        func(a, c, b)
+
+
 # -------------------------------------------------------------- bkm_form
 
 def test_bkm_form_zero():
@@ -329,6 +344,21 @@ def test_petz_arithmetic_closed_form():
 def test_petz_unknown_tag():
     with pytest.raises(DomainError):
         petz_form(np.eye(2), np.zeros((2, 2)), "bures")
+
+
+def test_unknown_tag_fails_before_any_lapack_call(lapack_calls):
+    s = random_block_state(2, 2, 47)
+    lapack_calls.clear()
+    with pytest.raises(DomainError, match="'bures'"):
+        petz_form(np.eye(2), np.zeros((2, 2)), "bures")
+    with pytest.raises(DomainError, match="'bures'"):
+        midpoint_margins(s, [0.5], ("bkm", "bures"))
+    assert sum(lapack_calls.values()) == 0
+
+
+def test_petz_form_checks_the_shape_of_y():
+    with pytest.raises(ValidationError, match=r"Y must have the shape of N, \(2, 2\)"):
+        petz_form(np.eye(2), np.zeros((3, 3)), "bkm")
 
 
 def test_petz_midpoint_t_zero():

@@ -11,10 +11,16 @@ from cebound import (
     BlockState,
     DomainError,
     InfeasibleError,
+    OrbitConfig,
     PositivityError,
+    ValidationError,
     binary_entropy,
+    bkm_apply,
+    bkm_form,
+    bkm_quadrature,
     block_decompose,
     bound_report,
+    channel_weights,
     coherence_entropy,
     fidelity,
     fidelity_bound,
@@ -28,6 +34,7 @@ from cebound import (
     trace_norm,
     two_level_pure,
 )
+import cebound.bounds
 from cebound.bkm import log_mean_kernel
 from cebound.bounds import MARGIN_TOL
 from cebound.linalg import SUPPORT_TOL, pinch
@@ -75,6 +82,29 @@ def test_operator_bound_singular_requires_regularization():
     assert operator_bound(s) == operator_bound(s, regularize=True)
 
 
+BKM_DOMAIN_CALLS = {
+    "bkm_form": lambda s: bkm_form(s.a, s.c, s.b),
+    "bkm_apply": lambda s: bkm_apply(s.a, s.c, s.b),
+    "channel_weights": lambda s: channel_weights(s.a, s.c, s.b),
+    "bkm_quadrature": lambda s: bkm_quadrature(s.a, s.c, s.b),
+    "operator_bound": operator_bound,
+    "bound_report": bound_report,
+    "OrbitConfig": lambda s: OrbitConfig(state=s, gamma=1.0, t_max=1.0, steps=2),
+}
+
+
+@pytest.mark.parametrize("block", ["A", "C"])
+@pytest.mark.parametrize("name", list(BKM_DOMAIN_CALLS))
+def test_singular_block_fails_the_one_positivity_gate(name, block):
+    # every function of the BKM domain A, C > 0 raises the same error, which
+    # names the block and its lambda_min
+    diag = [0.5, 0.0, 0.5] if block == "A" else [0.5, 0.3, 0.2, 0.0]
+    state = block_decompose(np.diag(diag), 2)
+    message = f"^{block} must be positive definite, lambda_min = 0.000e\\+00$"
+    with pytest.raises(PositivityError, match=message):
+        BKM_DOMAIN_CALLS[name](state)
+
+
 @pytest.mark.parametrize("dim", [2, 32, 50, 64])
 def test_regularized_report_of_a_pure_state(dim):
     # a pure state with d_p = d_q = dim has singular A and C.  The regularized
@@ -109,6 +139,22 @@ def test_report_a0_reads_the_support_model(dim):
 
 
 # --------------------------------------------------------------- log bound
+
+def test_log_boundary_bound_is_the_reports_bit_for_bit():
+    # both read lambda_min(A) from one validated eigh of A; an eigvalsh of its
+    # own disagreed with the report in the last bits on 822 of these states
+    for dim_p, dim_q in [(2, 1), (3, 2), (4, 4), (8, 3), (16, 4)]:
+        for seed in range(400):
+            s = random_block_state(
+                dim_p, dim_q, seed, "boundary", a0=0.6 / dim_p, eps_q=0.2 / dim_p
+            )
+            assert log_boundary_bound(s) == bound_report(s).log_bound
+    s = random_block_state(2, 2, 3)
+    a = s.a.copy()
+    a[0, 1] += 1e-3
+    with pytest.raises(ValidationError, match="A is not Hermitian"):
+        log_boundary_bound(BlockState(dim_p=2, dim_q=2, a=a, b=s.b, c=s.c))
+
 
 def test_log_bound_gate():
     # Tr C too large relative to lambda_min(A): bound absent
@@ -216,6 +262,17 @@ def test_fidelity_two_level_closed_form():
     assert f == pytest.approx(math.sqrt((1 - q) ** 2 + q**2), abs=1e-15)
     assert fidelity_bound(s) == pytest.approx(-math.log((1 - q) ** 2 + q**2), abs=1e-15)
     assert fidelity_bound(s) <= binary_entropy(q) + 1e-9
+
+
+def test_fidelity_validates_both_arguments():
+    # eigh reads the lower triangle: this non-Hermitian sigma gave F = 1.0
+    rho = np.diag([0.5, 0.5])
+    with pytest.raises(ValidationError, match="sigma is not Hermitian"):
+        fidelity(rho, np.array([[0.5, 1.0], [0.0, 0.5]]))
+    with pytest.raises(ValidationError, match="rho has non-finite entries"):
+        fidelity(np.diag([np.nan, 1.0]), rho)
+    with pytest.raises(ValidationError, match=r"differ in shape: \(3, 3\) vs \(2, 2\)"):
+        fidelity(np.eye(3) / 3, rho)
 
 
 def test_fidelity_bound_margin_random():
@@ -412,3 +469,15 @@ def test_find_separation_eps_grid():
         eps = find_separation_eps(k)
         assert separation_family(k, eps).ratio >= k
     assert find_separation_eps(2.0) >= 1e-6
+
+
+def test_find_separation_eps_lists_every_eps_tried(monkeypatch):
+    # on the default grid some eps always reaches K; on this one each eps is
+    # infeasible for K = 1.5 (a1 <= m), so the error lists them all
+    monkeypatch.setattr(cebound.bounds, "SEPARATION_GRID", [0.24, 0.22])
+    message = (
+        r"no eps on the grid reaches ratio 1.5; "
+        r"tried eps=0.24: ratio=None, eps=0.22: ratio=None$"
+    )
+    with pytest.raises(InfeasibleError, match=message):
+        find_separation_eps(1.5)

@@ -191,6 +191,21 @@ def test_singular_m_is_gated_by_the_midpoint_stack_and_the_bkm_form(capsys, tmp_
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["report", "orbit"])
+def test_singular_block_error_names_the_block(capsys, tmp_path, command):
+    # C = diag(0.2, 0) is singular: both commands print the positivity gate's
+    # message, which names the block and its lambda_min
+    path = tmp_path / "singular_c.json"
+    write_state_json(path, block_decompose(np.diag([0.5, 0.3, 0.2, 0.0]), 2))
+    argv = [command, str(path)]
+    if command == "orbit":
+        argv += ["--gamma", "1", "--t-max", "2", "--steps", "2"]
+        argv += ["--out", str(tmp_path / "orbit.csv")]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: C must be positive definite, lambda_min = 0.000e+00\n"
+
+
 def _trial_seed(dim_p, dim_q, trial, seed):
     return int(np.random.SeedSequence([seed, dim_p, dim_q, trial]).generate_state(1)[0])
 
@@ -534,6 +549,23 @@ def test_bad_dims_exits_two(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--dims", "3..2"], "invalid dims range '3..2'"),
+        (["verify", "--tol", "tiny"], "not a number: 'tiny'"),
+        (["sharpness", "--q", "1e-2,abc"], "not a number: 'abc'"),
+    ],
+    ids=["empty-dims-range", "verify-tol-word", "sharpness-q-word"],
+)
+def test_malformed_flag_value_exits_two(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert message in captured.err
+
+
 def test_parser_is_built_once_and_survives_failed_calls(capsys, two_level_file):
     # main() shares one parser: a usage error or a CeboundError between two
     # identical reports must leave the second report's output unchanged
@@ -628,6 +660,19 @@ def test_orbit_writes_csv(capsys, two_level_file, tmp_path):
     assert len(lines) == 12
     entropies = [float(line.split(",")[1]) for line in lines[1:]]
     assert entropies == sorted(entropies, reverse=True)
+
+
+def test_orbit_exits_one_at_the_first_violated_row(capsys, monkeypatch, two_level_file, tmp_path):
+    # a negative tolerance fails every row whose rate is finite.  The pure
+    # state's t = 0 row has rate +inf and passes, so row 1 is named, and the
+    # CSV is written in full first
+    monkeypatch.setattr(cebound.cli, "RATE_REL_TOL", -1.0)
+    out_path = tmp_path / "orbit.csv"
+    flags = ("--gamma", "1", "--t-max", "2", "--steps", "4", "--out", str(out_path))
+    code, out, err = run(capsys, "orbit", two_level_file, *flags)
+    assert code == 1 and out == ""
+    assert err == "rate bound violated at row 1 (t = 0.5)\n"
+    assert len(out_path.read_text().splitlines()) == 6
 
 
 def test_orbit_deterministic(capsys, two_level_file, tmp_path):

@@ -52,6 +52,11 @@ def test_validate_hermitian_rejects_non_finite():
         validate_hermitian(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
+def test_validate_hermitian_rejects_non_square():
+    with pytest.raises(ValidationError, match=r"must be square, got shape \(2, 3\)"):
+        validate_hermitian(np.zeros((2, 3)))
+
+
 def test_validate_hermitian_rejects_non_hermitian():
     with pytest.raises(ValidationError, match="not Hermitian"):
         validate_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -302,6 +307,12 @@ def test_pythagorean_rejects_non_block_sigma():
         pythagorean_residual(s, random_block_state(2, 2, 27).to_matrix())
 
 
+def test_pythagorean_rejects_sigma_of_another_size():
+    s = random_block_state(2, 2, 26)
+    with pytest.raises(DomainError, match="sigma dimension does not match the state"):
+        pythagorean_residual(s, np.eye(3) / 3)
+
+
 # ------------------------------------------------------- random states
 
 def test_random_state_deterministic():
@@ -322,6 +333,12 @@ def test_random_state_boundary_constraints():
     assert np.linalg.eigvalsh(s.a)[0] >= 0.2 - 1e-10
     assert np.trace(s.c).real == pytest.approx(0.05, abs=1e-12)
     assert np.linalg.eigvalsh(s.to_matrix())[0] >= -1e-12
+
+
+def test_random_state_boundary_needs_a0_and_eps_q():
+    for kwargs in ({}, {"a0": 0.1}, {"eps_q": 0.05}):
+        with pytest.raises(DomainError, match="requires a0 and eps_q"):
+            random_block_state(2, 2, 9, "boundary", **kwargs)
 
 
 def test_random_state_boundary_infeasible():
