@@ -14,8 +14,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, NumericError, PositivityError, ValidationError, _fail_first
-from .linalg import POSITIVITY_FLOOR, PSD_TOL, BlockState, _validated_spectra, pinch
-from .linalg import validate_hermitian
+from .linalg import POSITIVITY_FLOOR, PSD_TOL, BlockState, _block_spectra, _validated_blocks
+from .linalg import _validated_spectra, pinch, validate_hermitian
 
 _SERIES_THRESHOLD = 1e-8
 
@@ -75,23 +75,10 @@ def _form(sq, lam, mu, tag: str = "bkm"):
     return np.sum(sq * _kernel(lam, mu, tag), axis=(-2, -1))
 
 
-def _positive_spectra(a, c, b):
-    """The validated block spectra of A and C, past the positivity gate, and B
-    as a finite d_A x d_C array: the one entry of the functions of (A, C, B)."""
-    sp = _validated_spectra(a, c)
-    b = np.asarray(b, dtype=complex)
-    shape = (len(sp.wa), len(sp.wc))
-    if b.shape != shape:
-        raise ValidationError(f"B must have shape {shape}, got {b.shape}")
-    if not np.all(np.isfinite(b)):
-        raise ValidationError("B has non-finite entries")
-    sp.check_positive()
-    return sp, b
-
-
 def bkm_apply(a, c, b) -> np.ndarray:
     """Omega^{-1}(B) = int_0^inf (A + r)^{-1} B (C + r)^{-1} dr, spectrally."""
-    sp, b = _positive_spectra(a, c, b)
+    sp, b = _validated_spectra(a, c, b)
+    sp.check_positive()
     bt = _rotate(sp.va, b, sp.vc)
     return sp.va @ (bt * _kernel(sp.wa, sp.wc)) @ sp.vc.conj().T
 
@@ -103,7 +90,9 @@ def _spectral_bkm_form(sp, b) -> np.ndarray:
 
 def bkm_form(a, c, b) -> float:
     """Tr[B* Omega^{-1}(B)] = sum_{ab} |B~_{ab}|^2 L(a_a, c_b) >= 0."""
-    return float(_spectral_bkm_form(*_positive_spectra(a, c, b)))
+    sp, b = _validated_spectra(a, c, b)
+    sp.check_positive()
+    return float(_spectral_bkm_form(sp, b))
 
 
 class ChannelWeights(NamedTuple):
@@ -124,7 +113,8 @@ def channel_weights(a, c, b) -> ChannelWeights:
 
     B = 0 returns all-zero weights with frob_sq = 0 by convention.
     """
-    sp, b = _positive_spectra(a, c, b)
+    sp, b = _validated_spectra(a, c, b)
+    sp.check_positive()
     frob_sq = float(np.sum(np.abs(b) ** 2))
     sq = np.abs(_rotate(sp.va, b, sp.vc)) ** 2
     weights = sq / frob_sq if frob_sq > 0.0 else np.zeros(sq.shape)
@@ -138,9 +128,8 @@ def bkm_quadrature(a, c, b, tol: float = 1e-10) -> float:
     a dyadically refined partition of (0, 1) until two successive refinement
     levels agree to ``tol`` relative.
     """
-    _, b = _positive_spectra(a, c, b)
-    a = np.asarray(a, dtype=complex)
-    c = np.asarray(c, dtype=complex)
+    a, c, b = _validated_blocks(a, c, b)
+    _block_spectra(a, c).check_positive()
     dp, dq = b.shape
     eye_p = np.eye(dp)
     eye_q = np.eye(dq)
@@ -228,10 +217,10 @@ def midpoint_margins(state: BlockState, t_grid, tags) -> dict:
     SYMMETRY_TOL.
     """
     _check_tags(tags)
-    # Y is exactly Hermitian and vanishes on the diagonal blocks, so each
-    # M +- tY has the Hermitian defect of M and at least its scale.
-    m = validate_hermitian(pinch(state), "M")
-    y = validate_hermitian(state.off_diagonal(), "Y")
+    # Y, built from B, is exactly Hermitian, so each M +- tY is Hermitian
+    # within the tolerance that A and C pass.
+    _validated_blocks(state.a, state.c, state.b)
+    m, y = pinch(state), state.off_diagonal()
     t_grid = np.asarray(t_grid, dtype=float)
     if not np.all((t_grid >= 0.0) & (t_grid < 1.0)):  # NaN fails too
         raise DomainError("every t must lie in [0, 1)")

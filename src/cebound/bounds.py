@@ -21,7 +21,9 @@ from .linalg import (
     _adjoint,
     _block_diag,
     _coherence_entropy,
+    _check_finite,
     _support,
+    _validated_blocks,
     _validated_spectra,
     two_level_pure,
     validate_hermitian,
@@ -60,7 +62,8 @@ def operator_bound(state: BlockState, regularize: bool = False) -> float:
     Singular A or C raises unless ``regularize`` is set, in which case the
     bound is computed on (1-delta) rho + (delta/d) I, delta = max(1e-10, 1.5e-12 d).
     """
-    return float(_operator_bound(_validated_spectra(state.a, state.c), state.b, regularize)[0])
+    sp = _validated_spectra(state.a, state.c, state.b)[0]
+    return float(_operator_bound(sp, state.b, regularize)[0])
 
 
 def _log_bound(a0, state: BlockState) -> np.ndarray:
@@ -82,12 +85,17 @@ def _optional(value) -> float | None:
 def log_boundary_bound(state: BlockState) -> float | None:
     """||B||_F^2 log(lambda_min(A)/Tr C), or None when the hypothesis
     0 < Tr C < lambda_min(A) fails."""
-    return _optional(_log_bound(_validated_spectra(state.a, state.c).wa[0], state))
+    sp = _validated_spectra(state.a, state.c, state.b)[0]
+    return _optional(_log_bound(sp.wa[0], state))
 
 
 def trace_norm(m) -> float:
-    """Sum of singular values."""
-    return float(np.sum(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)))
+    """Sum of the singular values of a finite 2-D matrix."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2:
+        raise ValidationError(f"matrix must be 2-D, got shape {m.shape}")
+    _check_finite(m, "matrix")
+    return float(np.sum(np.linalg.svd(m, compute_uv=False)))
 
 
 def _pinsker(svals) -> np.ndarray:
@@ -97,6 +105,7 @@ def _pinsker(svals) -> np.ndarray:
 
 def pinsker_bound(state: BlockState) -> float:
     """Pinsker applied to sigma = pinch(rho): D >= (1/2)||rho - Pi rho||_1^2 = 2||B||_1^2."""
+    _validated_blocks(state.a, state.c, state.b)
     return float(_pinsker(np.linalg.svd(state.b, compute_uv=False)))
 
 
@@ -136,7 +145,8 @@ def _fidelity_bound(sp: _BlockSpectra, rho: np.ndarray) -> np.ndarray:
 
 def fidelity_bound(state: BlockState) -> float:
     """-2 log F(rho, pinch(rho))."""
-    return float(_fidelity_bound(_validated_spectra(state.a, state.c), state.to_matrix()))
+    sp = _validated_spectra(state.a, state.c, state.b)[0]
+    return float(_fidelity_bound(sp, state.to_matrix()))
 
 
 class _Bounds(NamedTuple):
@@ -203,7 +213,7 @@ def bound_report(state: BlockState, regularize: bool = False) -> BoundReport:
     One eigendecomposition of each of A and C, one eigvalsh of rho and one
     SVD of B serve every bound.
     """
-    sp = _validated_spectra(state.a, state.c)
+    sp = _validated_spectra(state.a, state.c, state.b)[0]
     rho = state.to_matrix()
     svals = np.linalg.svd(state.b, compute_uv=False)
     bounds, used_reg = _bounds(
@@ -279,7 +289,8 @@ def separation_family(k: float, eps: float) -> SeparationPoint:
     With eta = 1/(k+1): A = diag(a1, m), C = (eps), B = (sqrt(a1 eps/2), 0)^T
     where m = eps^(1-eta) and a1 = 1 - m - eps.  The ratio
     bkm_form / (||B||_F^2 log(lambda_min(A)/Tr C)) equals
-    L(a1, eps)/log(m/eps) and tends to k+1 as eps -> 0.
+    L(a1, eps)/log(m/eps) and tends to k+1 as eps -> 0.  From about k = 2e16
+    on, m rounds to eps in float64, and the log bound to 0.
     """
     if k <= 1.0:
         raise DomainError(f"k must exceed 1, got {k}")
@@ -292,6 +303,8 @@ def separation_family(k: float, eps: float) -> SeparationPoint:
         raise InfeasibleError(
             f"eps = {eps} too large: a1 = {a1} must exceed m = {m}"
         )
+    if m <= eps:
+        raise InfeasibleError(f"k = {k} too large: m = eps^(1 - 1/(k+1)) rounds to eps")
     state = BlockState(
         dim_p=2,
         dim_q=1,
@@ -305,23 +318,15 @@ def separation_family(k: float, eps: float) -> SeparationPoint:
     return SeparationPoint(state=state, ratio=ratio)
 
 
-SEPARATION_GRID = [10.0**-e for e in range(2, 13)]
-
-
 def find_separation_eps(k: float) -> float:
-    """Largest eps on the decade grid 1e-2..1e-12 whose separation ratio >= k."""
-    tried = []
-    for eps in SEPARATION_GRID:
-        try:
-            point = separation_family(k, eps)
-        except InfeasibleError:
-            tried.append((eps, None))
-            continue
-        tried.append((eps, point.ratio))
-        if point.ratio >= k:
-            return eps
-    table = ", ".join(
-        f"eps={eps:g}: ratio={ratio if ratio is None else round(ratio, 4)}"
-        for eps, ratio in tried
-    )
-    raise InfeasibleError(f"no eps on the grid reaches ratio {k}; tried {table}")
+    """eps = 1e-2, where the ratio (k+1) log(a1/eps)/((a1 - eps) log(1/eps)),
+    a1 in (0.89, 0.98), exceeds 1.026 (k+1).  The float64 ratio is within 1e-3
+    of it up to k = 1e13.  From about k = 1e15 on, 1/(k+1) spans a few ulp of 1
+    and the ratio is rounding noise: where it falls below k, or where m rounds
+    to eps, the witness cannot be resolved and InfeasibleError is raised."""
+    eps = 1e-2
+    ratio = separation_family(k, eps).ratio
+    if ratio < k:
+        message = f"separation ratio {ratio} at eps = {eps} is below k = {k}"
+        raise InfeasibleError(f"{message}: float64 cannot resolve the witness")
+    return eps

@@ -49,7 +49,7 @@ class OrbitConfig:
         if not finite or self.steps < 2:
             raise DomainError("need finite gamma > 0, finite t_max > 0, steps >= 2")
         state = self.state
-        sp = _validated_spectra(state.a, state.c)
+        sp = _validated_spectra(state.a, state.c, state.b)[0]
         m, y = pinch(state), state.off_diagonal()
         start = _orbit_terms(m, y, self.gamma, (0.0,))
         _check_midpoint(start[2][0, 0])

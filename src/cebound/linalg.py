@@ -26,13 +26,17 @@ ZERO_B_TOL = 1e-14
 BLOCK_DIAG_TOL = 1e-12
 
 
+def _check_finite(x: np.ndarray, name: str) -> None:
+    if not np.all(np.isfinite(x)):
+        raise ValidationError(f"{name} has non-finite entries")
+
+
 def validate_hermitian(h, name: str = "matrix") -> np.ndarray:
     """Check that ``h`` is square, finite, and self-adjoint within tolerance."""
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {h.shape}")
-    if not np.all(np.isfinite(h.real)) or not np.all(np.isfinite(h.imag)):
-        raise ValidationError(f"{name} has non-finite entries")
+    _check_finite(h, name)
     scale = 1.0 + np.max(np.abs(h)) if h.size else 1.0
     defect = np.max(np.abs(h - h.conj().T)) if h.size else 0.0
     if defect > HERM_TOL * scale:
@@ -153,9 +157,22 @@ def _block_spectra(a, c) -> _BlockSpectra:
     return _BlockSpectra(*np.linalg.eigh(a), *np.linalg.eigh(c))
 
 
-def _validated_spectra(a, c) -> _BlockSpectra:
-    """The block spectra of one A and C, each validated Hermitian first."""
-    return _block_spectra(validate_hermitian(a, "A"), validate_hermitian(c, "C"))
+def _validated_blocks(a, c, b) -> tuple:
+    """A, C and B as complex arrays, A and C validated Hermitian, B finite and
+    d_A x d_C: the one check of the blocks in every public function of a state
+    or of (A, C, B), made before any LAPACK call."""
+    a, c = validate_hermitian(a, "A"), validate_hermitian(c, "C")
+    b = np.asarray(b, dtype=complex)
+    if b.shape != (len(a), len(c)):
+        raise ValidationError(f"B must have shape {(len(a), len(c))}, got {b.shape}")
+    _check_finite(b, "B")
+    return a, c, b
+
+
+def _validated_spectra(a, c, b) -> tuple:
+    """The block spectra of A and C from ``_validated_blocks``, and B."""
+    a, c, b = _validated_blocks(a, c, b)
+    return _block_spectra(a, c), b
 
 
 def block_decompose(rho, dim_p: int) -> BlockState:
@@ -258,6 +275,7 @@ def coherence_entropy(state: BlockState) -> float:
     = Tr[A log A] + Tr[C log C].  The support of a PSD rho lies inside that of
     pinch(rho), so D is finite and needs no eigenvectors.
     """
+    _validated_blocks(state.a, state.c, state.b)
     w_rho, wa, wc = (np.linalg.eigvalsh(h) for h in (state.to_matrix(), state.a, state.c))
     return float(_coherence_entropy(w_rho, wa, wc))
 
@@ -275,6 +293,7 @@ def pythagorean_residual(state: BlockState, sigma) -> float:
     vanishes identically; it is returned (rather than asserted) so callers can
     track numerical error.  NaN when any of the three entropies is infinite.
     """
+    sp = _validated_spectra(state.a, state.c, state.b)[0]
     sigma = validate_density(sigma, "sigma")
     if sigma.shape[0] != state.dim:
         raise DomainError("sigma dimension does not match the state")
@@ -283,10 +302,9 @@ def pythagorean_residual(state: BlockState, sigma) -> float:
         raise DomainError("sigma is not block-diagonal in the P (+) Q split")
     rho = state.to_matrix()
     dp = state.dim_p
-    m_spectra = _block_spectra(state.a, state.c).joined()
     s_spectra = _block_spectra(sigma[:dp, :dp], sigma[dp:, dp:]).joined()
     return float(
-        _pythagorean(rho, np.linalg.eigvalsh(rho), pinch(state), m_spectra, s_spectra)
+        _pythagorean(rho, np.linalg.eigvalsh(rho), pinch(state), sp.joined(), s_spectra)
     )
 
 

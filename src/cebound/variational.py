@@ -16,8 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, InfeasibleError, NumericError, SamplingError, _fail_first
-from .linalg import PSD_TOL, BlockState, _adjoint, _block_diag, _entropy_terms
-from .linalg import _floor_mix_weight, _gaussian, _masses, _stack, coherence_entropy
+from .linalg import PSD_TOL, BlockState, _adjoint, _block_diag, _entropy_terms, _floor_mix_weight
+from .linalg import _gaussian, _masses, _stack, _validated_blocks, coherence_entropy
 from .twolevel import X_DOMAIN_TOL, TwoLevelParams, _phi, phi
 
 COMPLETENESS_TOL = 1e-12
@@ -80,6 +80,7 @@ def svd_pinch(state: BlockState) -> PinchedData:
     singular channel pairs of B, plus the projections onto ker B* and ker B.
     Singular values below 1e-12 are folded into the kernel sectors.
     """
+    _validated_blocks(state.a, state.c, state.b)
     return _svd_pinch(state, *np.linalg.svd(state.b))
 
 
@@ -427,9 +428,10 @@ def pipeline_values(state: BlockState, a0: float) -> tuple:
     ``a0`` is the floor the state is known to satisfy; the merge uses the full
     P-basis completion, so spectator directions of A enter with eps = x = 0.
     """
+    entropy = coherence_entropy(state)  # checks the state's blocks first
     stack = _stack([state])
     pinched, merged = _pipeline(stack, np.array([float(a0)]), np.linalg.svd(stack.b))
-    return coherence_entropy(state), float(pinched[0]), float(merged[0])
+    return entropy, float(pinched[0]), float(merged[0])
 
 
 def _pad(v: np.ndarray, d: int) -> np.ndarray:

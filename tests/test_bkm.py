@@ -440,7 +440,7 @@ def test_midpoint_margins_validate_before_the_eigensolver():
     # a NaN in A is a typed input error, not numpy's LinAlgError
     s = random_block_state(2, 2, 48)
     s.a[0, 0] = np.nan
-    with pytest.raises(ValidationError, match="M has non-finite entries"):
+    with pytest.raises(ValidationError, match="A has non-finite entries"):
         midpoint_margins(s, [0.5], ("bkm",))
 
 

@@ -34,7 +34,6 @@ from cebound import (
     trace_norm,
     two_level_pure,
 )
-import cebound.bounds
 from cebound.bkm import log_mean_kernel
 from cebound.bounds import MARGIN_TOL
 from cebound.linalg import SUPPORT_TOL, pinch
@@ -235,6 +234,18 @@ def test_pinsker_rank_two_diagonal_b():
         c=0.2 * np.eye(2, dtype=complex),
     )
     assert pinsker_bound(s) == pytest.approx(2.0 * (s1 + s2) ** 2, abs=1e-14)
+
+
+@pytest.mark.parametrize("m, message", [
+    ([[1.0, np.nan], [0.0, 1.0]], "matrix has non-finite entries"),
+    ([[1.0, 0.0], [0.0, np.inf]], "matrix has non-finite entries"),
+    (np.ones((2, 2, 2)), r"matrix must be 2-D, got shape \(2, 2, 2\)"),
+])
+def test_trace_norm_checks_its_matrix(m, message, lapack_calls):
+    # a NaN entry was numpy's LinAlgError from the SVD
+    with pytest.raises(ValidationError, match=message):
+        trace_norm(m)
+    assert sum(lapack_calls.values()) == 0
 
 
 def test_trace_norm_identity():
@@ -471,13 +482,20 @@ def test_find_separation_eps_grid():
     assert find_separation_eps(2.0) >= 1e-6
 
 
-def test_find_separation_eps_lists_every_eps_tried(monkeypatch):
-    # on the default grid some eps always reaches K; on this one each eps is
-    # infeasible for K = 1.5 (a1 <= m), so the error lists them all
-    monkeypatch.setattr(cebound.bounds, "SEPARATION_GRID", [0.24, 0.22])
-    message = (
-        r"no eps on the grid reaches ratio 1.5; "
-        r"tried eps=0.24: ratio=None, eps=0.22: ratio=None$"
-    )
-    with pytest.raises(InfeasibleError, match=message):
-        find_separation_eps(1.5)
+def test_find_separation_eps_needs_no_search():
+    # (k+1) log(a1/eps)/((a1 - eps) log(1/eps)) > 1.026 (k+1) at eps = 1e-2, and
+    # the float ratio stays within 1e-3 of it up to k = 1e13
+    for k in np.geomspace(1.0 + 1e-9, 1e13, 400).tolist():
+        assert find_separation_eps(k) == 1e-2
+        assert separation_family(k, 1e-2).ratio >= k, k
+
+
+def test_separation_beyond_float64_is_infeasible():
+    # at k = 1.41e16, 1/(k+1) is one ulp of 1 and the float ratio is 0.75 k
+    with pytest.raises(InfeasibleError, match="cannot resolve the witness"):
+        find_separation_eps(1.41e16)
+    # at k = 1e17, 1 - 1/(k+1) rounds to 1 and m to eps: the division by
+    # log(m/eps) = 0 was a ZeroDivisionError
+    for call in (find_separation_eps, lambda k: separation_family(k, 1e-2)):
+        with pytest.raises(InfeasibleError, match="rounds to eps"):
+            call(1e17)

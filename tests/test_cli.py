@@ -722,6 +722,14 @@ def test_separation_command(capsys):
     assert 0.0 < payload["eps"] <= 1e-2
 
 
+@pytest.mark.parametrize("k", ["1.41e16", "1e17"])
+def test_separation_beyond_float64_exits_two(capsys, k):
+    # 1e17 was a ZeroDivisionError traceback with exit code 1
+    code, out, err = run(capsys, "separation", "--K", k)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 def test_sharpness_command(capsys):
     code, out, _ = run(capsys, "sharpness", "--q", "1e-2,1e-4,1e-6")
     assert code == 0

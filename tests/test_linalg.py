@@ -1,5 +1,6 @@
 """Hermitian core: validation, block decomposition, pinching, relative entropy."""
 
+import inspect
 import json
 import math
 import pathlib
@@ -34,6 +35,7 @@ from cebound import (
     validate_hermitian,
     write_state_json,
 )
+import cebound
 import cebound.linalg
 from cebound.twolevel import binary_entropy
 
@@ -126,6 +128,73 @@ def test_block_state_checks_dims_and_stack_shape():
     with pytest.raises(ValidationError, match=r"block B has shape \(2, 2\), not \(2, 2, 2\)"):
         BlockState(2, 2, a, s.b, c)
     assert np.array_equal(BlockState(2, 2, a, b, c).to_matrix()[1], s.to_matrix())
+
+
+# --------------------------------------- the one check of a state's blocks
+
+_STRUCTURAL = {"pinch", "state_payload"}  # they read no entry of a block
+_OTHER_ARGS = {
+    "t_grid": [0.5], "tags": ("bkm",), "tag": "bkm", "a0": 0.1, "sigma": np.eye(4) / 4,
+    "gamma": 1.0, "t_max": 1.0, "steps": 2,
+}
+
+
+def _public_state_functions():
+    """{name: call on a state} for every cebound export whose first parameter
+    is annotated BlockState, less the structural ones, plus the functions of
+    (A, C, B)."""
+    found = {}
+    for name, obj in vars(cebound).items():
+        if name.startswith("_") or name in _STRUCTURAL or not callable(obj):
+            continue
+        try:
+            first, *rest = inspect.signature(obj).parameters.values()
+        except (TypeError, ValueError):  # no signature, or no parameters
+            continue
+        if first.annotation in (BlockState, "BlockState"):
+            others = {p.name: _OTHER_ARGS[p.name] for p in rest if p.default is p.empty}
+            found[name] = lambda s, f=obj, kw=others: f(s, **kw)
+    for name in ("bkm_apply", "bkm_form", "bkm_quadrature", "channel_weights"):
+        found[name] = lambda s, f=getattr(cebound, name): f(s.a, s.c, s.b)
+    return found
+
+
+_CHECKED = _public_state_functions()
+
+
+def _spoiled(block):
+    s = random_block_state(2, 2, 5)
+    a, b, c = s.a.copy(), s.b.copy(), s.c.copy()
+    if block == "A":
+        a[0, 1] += 0.1
+    else:
+        {"B": b, "C": c}[block][0, 0] = np.nan
+    return BlockState(2, 2, a, b, c)
+
+
+def test_the_sweep_finds_the_public_functions_of_a_state():
+    assert set(_CHECKED) >= {
+        "OrbitConfig", "bkm_apply", "bkm_form", "bkm_quadrature", "bound_report",
+        "channel_weights", "coherence_entropy", "fidelity_bound", "log_boundary_bound",
+        "midpoint_margin", "midpoint_margins", "operator_bound", "petz_midpoint_margin",
+        "pinsker_bound", "pipeline_values", "pythagorean_residual", "svd_pinch",
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_CHECKED))
+@pytest.mark.parametrize("block, message", [
+    ("B", "B has non-finite entries"),
+    ("C", "C has non-finite entries"),
+    ("A", "A is not Hermitian"),
+], ids=["nan-in-b", "nan-in-c", "non-hermitian-a"])
+def test_every_public_state_function_checks_the_blocks_first(name, block, message, lapack_calls):
+    # one entry checks A, C and B before any LAPACK call; before it, a NaN in B
+    # gave numpy's LinAlgError in eight of these and a silent nan or None in two
+    state = _spoiled(block)
+    lapack_calls.clear()
+    with pytest.raises(ValidationError, match=message):
+        _CHECKED[name](state)
+    assert sum(lapack_calls.values()) == 0
 
 
 # ------------------------------------------------------------- pinching
