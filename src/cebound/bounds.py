@@ -289,8 +289,11 @@ def separation_family(k: float, eps: float) -> SeparationPoint:
     With eta = 1/(k+1): A = diag(a1, m), C = (eps), B = (sqrt(a1 eps/2), 0)^T
     where m = eps^(1-eta) and a1 = 1 - m - eps.  The ratio
     bkm_form / (||B||_F^2 log(lambda_min(A)/Tr C)) equals
-    L(a1, eps)/log(m/eps) and tends to k+1 as eps -> 0.  From about k = 2e16
-    on, m rounds to eps in float64, and the log bound to 0.
+    L(a1, eps)/log(m/eps) and tends to k+1 as eps -> 0.  The returned ratio
+    is that of the float state's own a1, m and eps, within a few ulp.  From
+    about k = 1e15 on, m lies a few ulp above eps, so that state's k differs
+    from the k asked for; from about k = 2e16 on, m rounds to eps in float64,
+    and the log bound to 0.
     """
     if k <= 1.0:
         raise DomainError(f"k must exceed 1, got {k}")
@@ -314,7 +317,8 @@ def separation_family(k: float, eps: float) -> SeparationPoint:
     )
     bkm = bkm_form(state.a, state.c, state.b)
     frob_sq = a1 * eps / 2.0
-    ratio = bkm / (frob_sq * math.log(m / eps))
+    # m - eps is exact (Sterbenz), so log1p gives the float state's own log(m/eps)
+    ratio = bkm / (frob_sq * math.log1p((m - eps) / eps))
     return SeparationPoint(state=state, ratio=ratio)
 
 
@@ -322,8 +326,9 @@ def find_separation_eps(k: float) -> float:
     """eps = 1e-2, where the ratio (k+1) log(a1/eps)/((a1 - eps) log(1/eps)),
     a1 in (0.89, 0.98), exceeds 1.026 (k+1).  The float64 ratio is within 1e-3
     of it up to k = 1e13.  From about k = 1e15 on, 1/(k+1) spans a few ulp of 1
-    and the ratio is rounding noise: where it falls below k, or where m rounds
-    to eps, the witness cannot be resolved and InfeasibleError is raised."""
+    and the float state's ratio drifts from k + 1: where it falls below k, or
+    where m rounds to eps, the witness cannot be resolved and InfeasibleError
+    is raised."""
     eps = 1e-2
     ratio = separation_family(k, eps).ratio
     if ratio < k:

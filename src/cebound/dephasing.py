@@ -8,6 +8,8 @@ is bounded below by 2 Gamma e^{-2 Gamma t} Tr[B* Omega^{-1}(B)].
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -154,17 +156,58 @@ class OrbitRow(NamedTuple):
     margin: float
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _threaded_map(fn, items) -> list:
+    """[fn(x) for x in items], item k on thread k mod n for n = min(usable
+    CPUs, len(items)); the calling thread is thread 0, so one CPU starts none.
+
+    The work must release the GIL (numpy's eigh does) to gain anything.  Each
+    thread stops at its first failing item, and the failure of the earliest
+    item is raised, as a serial loop would raise it.
+    """
+    n = max(1, min(_usable_cpus(), len(items)))
+    results = [None] * len(items)
+    failures = {}
+
+    def work(first):
+        for k in range(first, len(items), n):
+            try:
+                results[k] = fn(items[k])
+            except Exception as exc:  # re-raised on the calling thread
+                failures[k] = exc
+                return
+
+    helpers = [threading.Thread(target=work, args=(first,)) for first in range(1, n)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work(0)
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
+
+
 def orbit_trace(cfg: OrbitConfig) -> list:
     """Tabulate the orbit on the uniform grid t_k = k t_max / steps.
 
     One eigendecomposition of rho_t gives both the row's entropy and its rate.
+    Rows 1..steps are spread over the usable CPUs (``_threaded_map``), one row
+    at a time per thread: a stack of every rho_t would hold steps + 1 matrices.
     """
+    times = [k * cfg.t_max / cfg.steps for k in range(cfg.steps + 1)]
+    later = _threaded_map(lambda t: _orbit_terms(cfg.m, cfg.y, cfg.gamma, (t,)), times[1:])
     rows = []
-    # row by row: one stack of every rho_t would hold steps + 1 matrices at once
-    for k in range(cfg.steps + 1):
-        t = k * cfg.t_max / cfg.steps
-        terms = cfg.start if k == 0 else _orbit_terms(cfg.m, cfg.y, cfg.gamma, (t,))
-        tr_log, rate, _ = terms
+    for t, (tr_log, rate, _) in zip(times, [cfg.start, *later]):
         point = _production(cfg.gamma, t, float(rate[0]), cfg.bkm)
         rows.append(
             OrbitRow(

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 import math
+import threading
 from collections import Counter
 
 import numpy as np
@@ -35,16 +36,20 @@ def lapack_calls(monkeypatch):
 
     ``clear()`` it after building inputs that should not count.  Its
     ``matrices`` Counter, cleared on its own, counts the matrices those calls
-    received by name: a stacked call adds its batch size.
+    received by name: a stacked call adds its batch size.  Calls from any
+    thread count: each update holds a lock, since ``+=`` on a Counter is a
+    read-modify-write that two threads can interleave and lose a count.
     """
     calls = Counter()
     calls.matrices = Counter()
+    lock = threading.Lock()
     for name in ("eigh", "eigvalsh", "svd"):
         original = getattr(np.linalg, name)
 
         def counted(x, *args, _original=original, _name=name, **kwargs):
-            calls[_name] += 1
-            calls.matrices[_name] += math.prod(np.shape(x)[:-2])
+            with lock:
+                calls[_name] += 1
+                calls.matrices[_name] += math.prod(np.shape(x)[:-2])
             return _original(x, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)

@@ -475,6 +475,24 @@ def test_separation_rejects_bad_parameters():
         separation_family(1.2, 0.24)  # m close to 1 makes a1 <= m
 
 
+def test_separation_ratio_matches_mpmath_up_to_1e15():
+    # the ratio is that of the float state's own a1, m and eps: m - eps is
+    # exact, and log1p keeps log(m/eps) exact in it.  log(m / eps) rounded m/eps
+    # first and was off by up to 1e-2 relative here (measured, k = 1e15)
+    from mpmath import log, mpf, workdps
+
+    worst = 0.0
+    with workdps(50):
+        for k in np.geomspace(1e2, 1e15, 131).tolist():
+            pt = separation_family(k, 1e-2)
+            a1, m = (mpf(float(x)) for x in pt.state.a.real.diagonal())
+            eps = mpf(float(pt.state.c.real[0, 0]))
+            exact = (log(a1) - log(eps)) / (a1 - eps) / log(m / eps)
+            worst = max(worst, float(abs(pt.ratio - exact) / exact))
+    # measured 4.4e-16
+    assert worst <= 8 * np.finfo(float).eps
+
+
 def test_find_separation_eps_grid():
     for k in (2.0, 3.0, 4.0, 5.0):
         eps = find_separation_eps(k)

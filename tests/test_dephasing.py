@@ -1,6 +1,10 @@
 """Exact dephasing orbit, entropy-production rates, and their lower bounds."""
 
 import math
+import os
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -310,3 +314,130 @@ def test_rate_near_the_edge_follows_mpmath(gamma):
     # the exact rate grows like log(1/t): equal steps per decade from k = 4 on
     steps = np.diff(exact)[2:]
     assert np.all(steps > 0) and np.ptp(steps) <= 0.05 * np.min(steps)
+
+
+# ------------------------------------------------------------ threaded rows
+
+def _cpus(monkeypatch, n):
+    """Make the process see n usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _counted_threads(monkeypatch):
+    """Record every threading.Thread constructed from now on."""
+    started = []
+
+    class Counted(threading.Thread):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return started
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (3, 2), (32, 32)], ids=["1+1", "3+2", "32+32"])
+def test_orbit_rows_do_not_depend_on_the_cpu_count(monkeypatch, dims):
+    # each row is the same one-row eigh on whichever thread runs it
+    d_p, d_q = dims
+    s = random_block_state(d_p, d_q, 5, "boundary", a0=0.6 / d_p, eps_q=0.2 / d_p)
+    for steps in (2, 7, 64):
+        cfg = OrbitConfig(state=s, gamma=1.5, t_max=2.0, steps=steps)
+        tables = []
+        for n in (1, 2, 4):
+            _cpus(monkeypatch, n)
+            tables.append(repr(orbit_trace(cfg)))
+        assert tables[1] == tables[0] and tables[2] == tables[0], (dims, steps)
+
+
+def test_orbit_rows_under_a_short_switch_interval(monkeypatch, lapack_calls):
+    # 4 threads on at most 2 cores, switching every microsecond: a row written
+    # to the wrong slot, or a count lost by the fixture, would show here
+    s = random_block_state(8, 8, 5, "boundary", a0=0.6 / 8, eps_q=0.2 / 8)
+    cfg = OrbitConfig(state=s, gamma=1.5, t_max=2.0, steps=64)
+    _cpus(monkeypatch, 1)
+    serial = repr(orbit_trace(cfg))
+    _cpus(monkeypatch, 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            lapack_calls.clear()
+            assert repr(orbit_trace(cfg)) == serial
+            assert lapack_calls["eigh"] == 64
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_orbit_on_one_cpu_starts_no_thread(monkeypatch):
+    cfg = OrbitConfig(state=mixed_two_level(), gamma=1.0, t_max=1.0, steps=16)
+    _cpus(monkeypatch, 1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread was constructed on one CPU")
+
+    monkeypatch.setattr(threading, "Thread", refuse)
+    assert len(orbit_trace(cfg)) == 17
+
+
+@pytest.mark.parametrize("steps, helpers", [(2, 1), (3, 2), (64, 3)])
+def test_orbit_starts_no_more_threads_than_rows(monkeypatch, steps, helpers):
+    # rows 1..steps are computed: on 4 CPUs, 2 rows start 1 helper thread and
+    # 3 rows start 2
+    cfg = OrbitConfig(state=mixed_two_level(), gamma=1.0, t_max=1.0, steps=steps)
+    _cpus(monkeypatch, 4)
+    started = _counted_threads(monkeypatch)
+    assert len(orbit_trace(cfg)) == steps + 1
+    assert len(started) == helpers
+
+
+def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
+    from cebound.dephasing import _usable_cpus
+
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert _usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _usable_cpus() == 1
+
+
+# rows 4 and 7 are items 3 and 6 of rows 1..steps: thread 1 and thread 0 of 2;
+# rows 3 and 6 put the earlier failure on the calling thread instead
+@pytest.mark.parametrize("bad_rows", [(4, 7), (3, 6)])
+def test_orbit_row_failures_raise_the_earliest_row(monkeypatch, bad_rows):
+    from cebound import dephasing
+
+    cfg = OrbitConfig(state=mixed_two_level(), gamma=1.0, t_max=8.0, steps=8)
+    original = dephasing._orbit_terms
+    threads, attempted = {}, set()
+
+    def failing(m, y, gamma, times):
+        row = round(times[0])  # t_k = k here
+        attempted.add(row)
+        if row in bad_rows:
+            threads[row] = threading.get_ident()
+            raise DomainError(f"injected failure at row {row}")
+        return original(m, y, gamma, times)
+
+    monkeypatch.setattr(dephasing, "_orbit_terms", failing)
+    _cpus(monkeypatch, 2)
+    # row r runs on thread (r - 1) mod 2, which stops at its failing row
+    stop = {(r - 1) % 2: r for r in bad_rows}
+    for _ in range(5):
+        attempted.clear()
+        with pytest.raises(DomainError, match=f"at row {bad_rows[0]}$"):
+            orbit_trace(cfg)
+        assert attempted == {r for r in range(1, 9) if r <= stop[(r - 1) % 2]}
+    assert len(set(threads.values())) == 2
+
+
+def test_importing_the_cli_leaves_concurrent_futures_unloaded():
+    # the rows use threading, which numpy loads anyway; concurrent.futures
+    # would add about 5 ms to every fresh import
+    import cebound
+
+    code = "import sys, numpy, cebound.cli; print('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cebound.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
