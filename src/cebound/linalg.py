@@ -22,7 +22,6 @@ PSD_TOL = 1e-12
 TRACE_TOL = 1e-12
 SUPPORT_TOL = 1e-12
 SUPPORT_MASS_TOL = 1e-10
-ZERO_B_TOL = 1e-14
 BLOCK_DIAG_TOL = 1e-12
 
 
@@ -273,11 +272,15 @@ def coherence_entropy(state: BlockState) -> float:
 
     log pinch(rho) = log A (+) log C is block diagonal, so Tr[rho log pinch(rho)]
     = Tr[A log A] + Tr[C log C].  The support of a PSD rho lies inside that of
-    pinch(rho), so D is finite and needs no eigenvectors.
+    pinch(rho), so D is finite.  The eigenvalues of A and C come from the block
+    spectra, so D is bound_report(state).entropy bit for bit.
     """
-    _validated_blocks(state.a, state.c, state.b)
-    w_rho, wa, wc = (np.linalg.eigvalsh(h) for h in (state.to_matrix(), state.a, state.c))
-    return float(_coherence_entropy(w_rho, wa, wc))
+    return _state_entropy(state, _validated_spectra(state.a, state.c, state.b)[0])
+
+
+def _state_entropy(state: BlockState, sp: _BlockSpectra) -> float:
+    """coherence_entropy of a trusted state, from the block spectra ``sp``."""
+    return float(_coherence_entropy(np.linalg.eigvalsh(state.to_matrix()), sp.wa, sp.wc))
 
 
 def _coherence_entropy(w_rho, wa, wc) -> np.ndarray:
@@ -325,10 +328,10 @@ def _gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _ginibre_draw(dim_p: int, dim_q: int, seed: int):
-    """random_block_state's Gaussian draw G for ``seed``, and the stream it leaves."""
+def _ginibre_draw(dim_p: int, dim_q: int, seed: int) -> np.ndarray:
+    """random_block_state's Gaussian draw G for ``seed``."""
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), dim_p, dim_q]))
-    return _gaussian(rng, (dim_p + dim_q,) * 2), rng
+    return _gaussian(rng, (dim_p + dim_q,) * 2)
 
 
 def _ginibre_density(g: np.ndarray) -> np.ndarray:
@@ -398,8 +401,9 @@ def random_block_state(
     """
     if dim_p < 1 or dim_q < 1:
         raise DomainError("dimensions must be >= 1")
-    g, rng = _ginibre_draw(dim_p, dim_q, seed)
-    state = _split(_ginibre_density(g), dim_p)
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    state = _split(_ginibre_density(_ginibre_draw(dim_p, dim_q, seed)), dim_p)
     if ensemble == "ginibre":
         return state
     if ensemble != "boundary":
@@ -411,15 +415,15 @@ def random_block_state(
             f"boundary ensemble needs dim_p*a0 + eps_q <= 1, "
             f"got {dim_p * a0 + eps_q}"
         )
-    s = _boundary_state(_stack([state]), [rng], a0, eps_q)
+    s = _boundary_state(_stack([state]), a0, eps_q)
     return BlockState(dim_p, dim_q, s.a[0], s.b[0], s.c[0])
 
 
-def _boundary_state(s: BlockState, rngs, a0: float, eps_q: float) -> BlockState:
+def _boundary_state(s: BlockState, a0: float, eps_q: float) -> BlockState:
     """The boundary-ensemble states of ``random_block_state`` derived from the
     stack of ginibre states ``s``, from one eigh each of the stacked A and C and
-    one stacked SVD.  ``rngs[k]``, member k's stream, redraws its B only when
-    the ginibre B vanishes (||B||_F < ZERO_B_TOL)."""
+    one stacked SVD.  B is the ginibre B scaled; a Gaussian G gives B = 0 with
+    probability zero."""
     dim_p, dim_q = s.dim_p, s.dim_q
     c = s.c * (eps_q / _trace(s.c))
     trace_a = 1.0 - eps_q
@@ -429,10 +433,7 @@ def _boundary_state(s: BlockState, rngs, a0: float, eps_q: float) -> BlockState:
     t = _floor_mix_weight(w_raw, level, a0)
     a = (1 - t[..., None, None]) * a_raw + t[..., None, None] * level * np.eye(dim_p)
     wa = (1 - t[..., None]) * w_raw + t[..., None] * level  # same eigenvectors va
-    b_raw = s.b.copy()
-    for k in np.flatnonzero(_frobenius(b_raw) < ZERO_B_TOL):
-        b_raw[k] = _gaussian(rngs[k], (dim_p, dim_q))
-    b_unit = b_raw / _frobenius(b_raw)[..., None, None]
+    b_unit = s.b / _frobenius(s.b)[..., None, None]
     wc, vc = np.linalg.eigh(c)
     scale = _max_psd_scale(wa, va, b_unit, wc, vc)[..., None, None]
     return BlockState(dim_p=dim_p, dim_q=dim_q, a=a, b=scale * b_unit, c=c)

@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import DomainError, InfeasibleError, NumericError, SamplingError, _fail_first
 from .linalg import PSD_TOL, BlockState, _adjoint, _block_diag, _entropy_terms, _floor_mix_weight
-from .linalg import _gaussian, _masses, _stack, _validated_blocks, coherence_entropy
+from .linalg import _block_spectra, _gaussian, _masses, _stack, _state_entropy, _validated_blocks
+from .linalg import coherence_entropy
 from .twolevel import X_DOMAIN_TOL, TwoLevelParams, _phi, phi
 
 COMPLETENESS_TOL = 1e-12
@@ -416,7 +417,7 @@ def variational_check(
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), d_p, d_q]))
     for _ in range(trials):
         state = sample_feasible(a0, eps, c, d_p, d_q, rng)
-        min_found = min(min_found, coherence_entropy(state))
+        min_found = min(min_found, _state_entropy(state, _block_spectra(state.a, state.c)))
     return VariationalResult(
         min_found=min_found, bound=opt.value, gap=min_found - opt.value
     )

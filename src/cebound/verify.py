@@ -40,18 +40,18 @@ STACK_ELEMENTS = 1 << 16
 def _chunk_states(dim_p: int, dim_q: int, trials, seed: int):
     """The (ginibre, boundary, sigma) stacks of ``trials``, each member
     bit-identical to random_block_state for the trial seed (sigma: the trial
-    seed + 1).  The boundary state reuses the ginibre draw; sigma, the
-    Pythagorean reference, is used pinched.  The draws come trial by trial from
-    their own streams; all else runs once over the chunk's stack."""
+    seed + 1).  The boundary state is derived from the ginibre state; sigma,
+    the Pythagorean reference, is used pinched.  The draws come trial by trial
+    from their own streams; all else runs once over the chunk's stack."""
     seeds = [
         int(np.random.SeedSequence([seed, dim_p, dim_q, t]).generate_state(1)[0])
         for t in trials
     ]
-    g, rngs = zip(*(_ginibre_draw(dim_p, dim_q, s) for s in seeds))
-    g_sigma = tuple(_ginibre_draw(dim_p, dim_q, s + 1)[0] for s in seeds)
+    g = [_ginibre_draw(dim_p, dim_q, s) for s in seeds]
+    g_sigma = [_ginibre_draw(dim_p, dim_q, s + 1) for s in seeds]
     rho = _ginibre_density(np.stack(g + g_sigma))
     ginibre, sigma = (_split(x, dim_p) for x in np.split(rho, 2))
-    return ginibre, _boundary_state(ginibre, rngs, 0.6 / dim_p, 0.2 / dim_p), sigma
+    return ginibre, _boundary_state(ginibre, 0.6 / dim_p, 0.2 / dim_p), sigma
 
 
 def _stack_margins(state: BlockState, sigma: BlockState) -> dict:
@@ -109,6 +109,8 @@ def verify_group(dim_p: int, dim_q: int, trials: int, seed: int) -> dict:
         raise DomainError("dimensions must be >= 1")
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     trial_entries = len(ENSEMBLES) * (1 + len(MIDPOINT_GRID)) * (dim_p + dim_q) ** 2
     per_chunk = max(1, STACK_ELEMENTS // trial_entries)
     chunks = []

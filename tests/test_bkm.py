@@ -1,5 +1,6 @@
 """BKM kernel, quadratic form, quadrature oracle, midpoint margins, Petz metrics."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from cebound import (
     DomainError,
-    NumericError,
     PositivityError,
     ValidationError,
     bkm_apply,
@@ -27,7 +27,6 @@ from cebound import (
     sharpness_family,
     two_level_pure,
 )
-import cebound.bkm
 from cebound.bkm import PETZ_FUNCTIONS, _form, _rotate
 from cebound.linalg import pinch
 
@@ -408,26 +407,34 @@ def test_midpoint_margins_match_wrappers_and_reference():
             assert np.allclose(shared[tag], reference, rtol=0.0, atol=1e-12), tag
 
 
-def test_midpoint_margins_symmetry_check_runs_for_every_tag(monkeypatch):
-    # H_{M+tY} = H_{M-tY} holds exactly in theory; a negative tolerance makes
-    # any computed pair fail, which shows the check is made for each tag
-    monkeypatch.setattr(cebound.bkm, "SYMMETRY_TOL", -1.0)
-    s = random_block_state(2, 2, 46)
-    for tag in PETZ_FUNCTIONS:
-        with pytest.raises(NumericError, match=repr(tag)):
-            midpoint_margins(s, [0.5], (tag,))
-    with pytest.raises(NumericError):
-        midpoint_margin(s, [0.5])
+def test_midpoint_is_symmetric_under_the_block_sign():
+    # M - tY = U (M + tY) U* and U Y U* = -Y with U = I (+) -I, so
+    # g_{M-tY}(Y, Y) = g_{M+tY}(Y, Y) for every Petz metric: midpoint_margins
+    # evaluates M + tY only
+    states = [
+        random_block_state(dp, dq, seed, ensemble, a0=0.6 / dp, eps_q=0.2 / dp)
+        for dp, dq in [(1, 1), (2, 3), (4, 4), (32, 32)]
+        for seed in range(2)
+        for ensemble in ("ginibre", "boundary")
+    ]
+    for s in states:
+        m, y = pinch(s), s.off_diagonal()
+        for t, tag in itertools.product((0.25, 0.5, 0.9), PETZ_FUNCTIONS):
+            g = petz_form(m + t * y, y, tag)
+            gap = abs(petz_form(m - t * y, y, tag) - g)
+            assert gap <= 1e-12 * (1.0 + abs(g)), (s.dim_p, s.dim_q, t, tag)
 
 
 def test_midpoint_margins_lapack_budget(lapack_calls):
-    # one eigvalsh of rho for M +- Y and one stacked eigh of M and each M +- tY,
+    # one eigvalsh of rho for M +- Y and one stacked eigh of M and each M + tY,
     # whose t = 0 member is the M > 0 gate: 2 calls, against 3 when M took an
-    # eigvalsh of its own
+    # eigvalsh of its own, and 1 + 2 matrices, against 1 + 4 with each M - tY
     s = random_block_state(3, 2, 49)
     lapack_calls.clear()
+    lapack_calls.matrices.clear()
     midpoint_margins(s, [0.25, 0.5], tuple(PETZ_FUNCTIONS))
     assert sum(lapack_calls.values()) <= 2
+    assert lapack_calls.matrices["eigh"] == 1 + 2
 
 
 def test_midpoint_margins_unknown_tag():

@@ -162,15 +162,6 @@ def test_verify_group_midpoint_stack_is_m_and_each_m_plus_ty(lapack_calls):
     assert lapack_calls.matrices["eigh"] == trials * per_trial
 
 
-def test_verify_group_trusts_the_midpoint_symmetry(monkeypatch):
-    # g_{M+tY} = g_{M-tY} is exact (see bkm._check_midpoint), so verify never
-    # checks it: a tolerance that every pair fails leaves its margins as they are
-    want = verify_group(2, 2, 2, 7)
-    monkeypatch.setattr(cebound.bkm, "SYMMETRY_TOL", -1.0)
-    got = verify_group(2, 2, 2, 7)
-    assert all(np.array_equal(got[name], want[name]) for name in want)
-
-
 def test_singular_m_is_gated_by_the_midpoint_stack_and_the_bkm_form(capsys, tmp_path):
     # a pure 2 + 2 state has rank-1 A and C, so M is singular.  M > 0 has no
     # check of its own: the t = 0 member of the midpoint stack gates it in
@@ -247,35 +238,11 @@ def _craft_draw(monkeypatch, trial_seed, edit):
     draw = cebound.linalg._ginibre_draw
 
     def crafted(dim_p, dim_q, seed):
-        g, rng = draw(dim_p, dim_q, seed)
-        return (edit(g.copy()) if seed == trial_seed else g), rng
+        g = draw(dim_p, dim_q, seed)
+        return edit(g.copy()) if seed == trial_seed else g
 
     monkeypatch.setattr(verify, "_ginibre_draw", crafted)
     monkeypatch.setattr(cebound.linalg, "_ginibre_draw", crafted)
-
-
-def test_chunk_redraws_a_vanishing_b_from_its_own_stream(monkeypatch):
-    # trial 1's ginibre draw is made block diagonal, so its B vanishes and its
-    # boundary state redraws B from the trial's stream: bit for bit the state
-    # random_block_state builds from the same draw, as trials 0 and 2 are
-    dim_p, dim_q, seed = 2, 3, 7
-
-    def block_diagonal(g):
-        g[:dim_p, dim_p:] = 0.0
-        g[dim_p:, :dim_p] = 0.0
-        return g
-
-    _craft_draw(monkeypatch, _trial_seed(dim_p, dim_q, 1, seed), block_diagonal)
-    ginibre, boundary, _ = verify._chunk_states(dim_p, dim_q, range(3), seed)
-    assert np.all(ginibre.b[1] == 0.0)
-    assert np.all(boundary.b[1] != 0.0)
-    for k in range(3):
-        want = random_block_state(
-            dim_p, dim_q, _trial_seed(dim_p, dim_q, k, seed), "boundary",
-            a0=0.6 / dim_p, eps_q=0.2 / dim_p,
-        )
-        for block in "abc":
-            assert np.array_equal(getattr(boundary, block)[k], getattr(want, block)), k
 
 
 def _reference_trial(dim_p, dim_q, trial, seed):
@@ -518,6 +485,15 @@ def test_verify_rejects_zero_trials(capsys):
     code, _, err = run(capsys, "verify", "--trials", "0")
     assert code == 2
     assert "trials" in err
+
+
+def test_verify_rejects_a_negative_seed(capsys):
+    # a typed error, so exit 2 (bad input), not numpy's ValueError and exit 1
+    with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+        verify_group(2, 2, 1, -1)
+    code, out, err = run(capsys, "verify", "--trials", "1", "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: seed must be >= 0, got -1\n"
 
 
 def test_verify_rejects_negative_tolerance(capsys):

@@ -1,6 +1,7 @@
 """Hermitian core: validation, block decomposition, pinching, relative entropy."""
 
 import inspect
+import itertools
 import json
 import math
 import pathlib
@@ -350,6 +351,18 @@ def test_coherence_entropy_matches_mpmath(ensemble):
                 assert abs(coherence_entropy(s) - float(exact)) <= 1e-14, (dp, dq)
 
 
+def test_coherence_entropy_is_the_bound_report_entropy_bit_for_bit():
+    # both take the eigenvalues of A and C from the block spectra; with
+    # eigvalsh of A and C instead, 387 of these 2,016 states got a D apart
+    # from the report's by up to 1.2e-14 relative
+    for dp, dq, seed in itertools.product(range(1, 5), range(1, 5), range(63)):
+        for s in (
+            random_block_state(dp, dq, seed),
+            random_block_state(dp, dq, seed, "boundary", a0=0.6 / dp, eps_q=0.2 / dp),
+        ):
+            assert coherence_entropy(s) == bound_report(s).entropy, (dp, dq, seed)
+
+
 # ------------------------------------------------- Pythagorean identity
 
 def test_pythagorean_sigma_equals_pinch():
@@ -408,6 +421,17 @@ def test_random_state_boundary_needs_a0_and_eps_q():
     for kwargs in ({}, {"a0": 0.1}, {"eps_q": 0.05}):
         with pytest.raises(DomainError, match="requires a0 and eps_q"):
             random_block_state(2, 2, 9, "boundary", **kwargs)
+
+
+def test_random_state_rejects_a_negative_seed(monkeypatch):
+    # a typed error before any draw, not numpy's ValueError from SeedSequence
+    def draw(*args):
+        raise AssertionError("drew a state for a negative seed")
+
+    monkeypatch.setattr(cebound.linalg, "_ginibre_draw", draw)
+    for ensemble in ("ginibre", "boundary"):
+        with pytest.raises(DomainError, match="seed must be >= 0, got -3"):
+            random_block_state(1, 1, -3, ensemble, a0=0.1, eps_q=0.1)
 
 
 def test_random_state_boundary_infeasible():

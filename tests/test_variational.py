@@ -32,6 +32,7 @@ from cebound import (
     variational_check,
     verify_group,
 )
+import cebound.linalg
 from cebound import variational
 from cebound.linalg import _entropy_terms, _stack, block_decompose, pinch
 from cebound.twolevel import _phi
@@ -392,6 +393,31 @@ def test_variational_sweep():
     res = variational_check(0.1, 0.05, 0.02, 2, 2, trials=50, seed=11)
     assert res.min_found >= res.bound - 1e-9
     assert res.bound == pytest.approx(phi(0.85, 0.05, 0.02), abs=1e-14)
+
+
+def test_variational_check_validates_no_sampled_state(monkeypatch):
+    # sample_feasible builds each state, so its entropy skips the block check:
+    # validate_hermitian calls do not grow with trials, and min_found is the
+    # public coherence_entropy's bit for bit
+    calls = []
+    check = cebound.linalg.validate_hermitian
+
+    def counted(h, name="matrix"):
+        calls.append(name)
+        return check(h, name)
+
+    monkeypatch.setattr(cebound.linalg, "validate_hermitian", counted)
+    counts = []
+    for trials in (1, 20):
+        calls.clear()
+        res = variational_check(0.1, 0.05, 0.02, 2, 2, trials=trials, seed=11)
+        counts.append(len(calls))
+        rng = np.random.default_rng(np.random.SeedSequence([11, 2, 2]))
+        entropies = [coherence_entropy(optimizer(0.1, 0.05, 0.02, 2, 2).state)]
+        for _ in range(trials):
+            entropies.append(coherence_entropy(sample_feasible(0.1, 0.05, 0.02, 2, 2, rng)))
+        assert res.min_found == min(entropies)
+    assert counts[0] == counts[1]
 
 
 @pytest.mark.parametrize(
