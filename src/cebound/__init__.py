@@ -5,7 +5,6 @@ from .bkm import (
     bkm_apply,
     bkm_form,
     bkm_hessian,
-    bkm_quadrature,
     channel_weights,
     log_mean_kernel,
     midpoint_margin,
@@ -40,7 +39,6 @@ from .errors import (
     InfeasibleError,
     NumericError,
     PositivityError,
-    SamplingError,
     ValidationError,
 )
 from .linalg import (
@@ -51,7 +49,6 @@ from .linalg import (
     pythagorean_residual,
     random_block_state,
     read_state_json,
-    relative_entropy,
     state_payload,
     two_level_pure,
     validate_density,
@@ -62,7 +59,6 @@ from .twolevel import (
     TwoLevelParams,
     binary_entropy,
     phi,
-    phi_chain_check,
     phi_dx,
     phi_dxx,
 )
@@ -76,9 +72,7 @@ from .variational import (
     optimizer,
     pipeline_values,
     polygon_phases,
-    sample_feasible,
     svd_pinch,
-    variational_check,
 )
 from .verify import verify_group
 

@@ -1,10 +1,10 @@
 """The BKM (Bogoliubov-Kubo-Mori) kernel and quadratic form.
 
 The kernel of the form is the reciprocal logarithmic mean
-L(a, c) = log(a/c)/(a - c).  The quadratic form is evaluated spectrally by
-default; an adaptive Gauss-Legendre quadrature of the resolvent integral is
-kept as an independent oracle.  The module also provides the Petz monotone
-metrics for four named operator-monotone functions.
+L(a, c) = log(a/c)/(a - c).  The quadratic form is evaluated spectrally; the
+tests check it against a quadrature of the resolvent integral
+(``tests/oracles.py``).  The module also provides the Petz monotone metrics
+for four named operator-monotone functions.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NumericError, PositivityError, ValidationError, _fail_first
-from .linalg import POSITIVITY_FLOOR, PSD_TOL, BlockState, _block_spectra, _validated_blocks
+from .errors import DomainError, PositivityError, ValidationError, _fail_first
+from .linalg import POSITIVITY_FLOOR, PSD_TOL, BlockState, _validated_blocks
 from .linalg import _validated_spectra, pinch, validate_hermitian
 
 _SERIES_THRESHOLD = 1e-8
@@ -119,46 +119,6 @@ def channel_weights(a, c, b) -> ChannelWeights:
     sq = np.abs(_rotate(sp.va, b, sp.vc)) ** 2
     weights = sq / frob_sq if frob_sq > 0.0 else np.zeros(sq.shape)
     return ChannelWeights(weights=weights, a_eigen=sp.wa, c_eigen=sp.wc, frob_sq=frob_sq)
-
-
-def bkm_quadrature(a, c, b, tol: float = 1e-10) -> float:
-    """Quadrature oracle for Tr[B* Omega^{-1}(B)].
-
-    Substitutes r = t/(1-t) and applies composite 16-point Gauss-Legendre on
-    a dyadically refined partition of (0, 1) until two successive refinement
-    levels agree to ``tol`` relative.
-    """
-    a, c, b = _validated_blocks(a, c, b)
-    _block_spectra(a, c).check_positive()
-    dp, dq = b.shape
-    eye_p = np.eye(dp)
-    eye_q = np.eye(dq)
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-
-    def integrand(t: float) -> float:
-        r = t / (1.0 - t)
-        inv_a = np.linalg.inv(a + r * eye_p)
-        inv_c = np.linalg.inv(c + r * eye_q)
-        val = np.trace(b.conj().T @ inv_a @ b @ inv_c).real
-        return val / (1.0 - t) ** 2
-
-    def composite(panels: int) -> float:
-        edges = np.linspace(0.0, 1.0, panels + 1)
-        total = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (hi - lo)
-            mid = 0.5 * (hi + lo)
-            for node, weight in zip(nodes, weights):
-                total += weight * half * integrand(mid + half * node)
-        return total
-
-    prev = composite(1)
-    for level in range(1, 25):
-        cur = composite(2**level)
-        if abs(cur - prev) < tol * (1.0 + abs(cur)):
-            return cur
-        prev = cur
-    raise NumericError("bkm_quadrature did not converge in 24 refinement levels")
 
 
 def bkm_hessian(n, y) -> float:

@@ -263,9 +263,13 @@ class SharpnessPoint(NamedTuple):
 def sharpness_family(q: float) -> SharpnessPoint:
     """The pure two-level family rho_q where both bounds become tight as q -> 0.
 
-    entropy = h(q), bkm = q(1-q) L(1-q, q); both ratios tend to 1.
+    entropy = h(q), bkm = q(1-q) L(1-q, q); both ratios tend to 1.  A
+    subnormal q raises: (1-q)/q overflows there.
     """
     state = two_level_pure(q)
+    tiny = np.finfo(float).tiny
+    if q < tiny:
+        raise DomainError(f"q must be at least {tiny:.17g}, the least normal float, got {q!r}")
     entropy = binary_entropy(q)
     bkm = q * (1.0 - q) * log_mean_kernel(1.0 - q, q)
     log_scalar = q * (1.0 - q) * math.log((1.0 - q) / q)

@@ -46,10 +46,11 @@ class OrbitConfig:
     start: tuple = field(init=False, repr=False, compare=False)  # _orbit_terms at t = 0
 
     def __post_init__(self):
-        # nan fails every comparison, so it is rejected with inf
-        finite = 0.0 < self.gamma < math.inf and 0.0 < self.t_max < math.inf
+        # nan fails every comparison, so it is rejected with inf; the bound's
+        # prefactor 2 gamma must be finite too
+        finite = 0.0 < 2.0 * self.gamma < math.inf and 0.0 < self.t_max < math.inf
         if not finite or self.steps < 2:
-            raise DomainError("need finite gamma > 0, finite t_max > 0, steps >= 2")
+            raise DomainError("need gamma > 0 with 2*gamma finite, finite t_max > 0, steps >= 2")
         state = self.state
         sp = _validated_spectra(state.a, state.c, state.b)[0]
         m, y = pinch(state), state.off_diagonal()
@@ -96,22 +97,6 @@ def analytic_rate(cfg: OrbitConfig, t: float) -> float:
     return float(_orbit_terms(cfg.m, cfg.y, cfg.gamma, (t,))[1][0])
 
 
-def fd_rate(cfg: OrbitConfig, t: float) -> float:
-    """Finite-difference estimate of -dD/dt with step min(1e-6, 1e-3/gamma).
-
-    Central stencil in the interior; second-order one-sided (forward) stencil
-    when t < h, where t - h would leave the domain.
-    """
-    h = min(1e-6, 1e-3 / cfg.gamma)
-    stencil = (t, t + h, t + 2.0 * h) if t < h else (t + h, t - h)
-    # D(rho_s || M) = Tr[rho_s log rho_s] - Tr[M log M], from one eigh stacked over s
-    tr_log = _orbit_terms(cfg.m, cfg.y, cfg.gamma, stencil)[0]
-    d = [float(v) - cfg.tr_m_log_m for v in tr_log]
-    if t < h:
-        return -(-3.0 * d[0] + 4.0 * d[1] - d[2]) / (2.0 * h)
-    return -(d[0] - d[1]) / (2.0 * h)
-
-
 class ProductionPoint(NamedTuple):
     rate: float
     bound: float
@@ -127,8 +112,8 @@ def _decay(gamma: float, t: float) -> float:
 def entropy_production(cfg: OrbitConfig, t: float) -> ProductionPoint:
     """Entropy production rate at time t versus its BKM lower bound.
 
-    The rate is the analytic trace-formula value; the finite-difference
-    estimate serves as a sanity check in the test suite.  The bound is
+    The rate is the analytic trace-formula value; the tests check it against a
+    finite-difference estimate (``tests/oracles.py``).  The bound is
     2 Gamma e^{-2 Gamma t} Tr[B* Omega^{-1}(B)].
     """
     return _production(cfg.gamma, t, analytic_rate(cfg, t), cfg.bkm)

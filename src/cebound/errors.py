@@ -27,10 +27,6 @@ class NumericError(CeboundError, RuntimeError):
     """An iterative numerical procedure failed to converge."""
 
 
-class SamplingError(CeboundError, RuntimeError):
-    """A rejection sampler exhausted its attempt budget."""
-
-
 def _fail_first(bad, error: type, message: str, *values) -> None:
     """Raise ``error`` at the first entry flagged in ``bad``, formatting ``message``
     with each of ``values`` (broadcast to ``bad``) at that entry."""

@@ -1,5 +1,5 @@
-"""Hermitian matrix utilities: validation, block decomposition, pinching,
-relative entropy, and seeded random state generation.
+"""Hermitian matrix utilities: validation, block decomposition, pinching, the
+relative entropy of coherence, and seeded random state generation.
 
 All matrices are dense complex numpy arrays.  Entropies are in nats.
 ``_support`` is the one support model: eigenvalues at or below
@@ -253,20 +253,6 @@ def _entropy_terms(rho: np.ndarray, sigma: np.ndarray) -> float:
     )
 
 
-def relative_entropy(rho, sigma) -> float:
-    """Umegaki relative entropy D(rho || sigma) in nats.
-
-    Returns +inf when support(rho) is not contained in support(sigma).
-    """
-    rho = validate_density(rho, "rho")
-    sigma = validate_density(sigma, "sigma")
-    if rho.shape != sigma.shape:
-        raise DomainError(
-            f"dimension mismatch: {rho.shape[0]} vs {sigma.shape[0]}"
-        )
-    return _entropy_terms(rho, sigma)
-
-
 def coherence_entropy(state: BlockState) -> float:
     """D(rho || pinch(rho)) = S(pinch(rho)) - S(rho), the relative entropy of coherence.
 
@@ -275,11 +261,7 @@ def coherence_entropy(state: BlockState) -> float:
     pinch(rho), so D is finite.  The eigenvalues of A and C come from the block
     spectra, so D is bound_report(state).entropy bit for bit.
     """
-    return _state_entropy(state, _validated_spectra(state.a, state.c, state.b)[0])
-
-
-def _state_entropy(state: BlockState, sp: _BlockSpectra) -> float:
-    """coherence_entropy of a trusted state, from the block spectra ``sp``."""
+    sp = _validated_spectra(state.a, state.c, state.b)[0]
     return float(_coherence_entropy(np.linalg.eigvalsh(state.to_matrix()), sp.wa, sp.wc))
 
 

@@ -7,7 +7,8 @@ Phi(a, eps, x) is the relative entropy of the 2x2 state with diagonal
     lam_pm = (a + eps +- sqrt((a - eps)^2 + 4x)) / 2,
 
 with the convention 0 log 0 = 0.  The domain is 0 <= x <= a*eps (positivity
-of the 2x2 block).
+of the 2x2 block).  The tests check the chain Phi >= x L(a, eps) >=
+x log(a/eps) for 0 < eps < a <= 1 (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -17,12 +18,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bkm import _log_mean, log_mean_kernel
+from .bkm import _log_mean
 from .errors import DomainError, _fail_first
 
 X_DOMAIN_TOL = 1e-14
 PHI_DXX_SERIES_U = 0.07  # series truncation meets sinh cancellation at ~3e-14
-CHAIN_TOL = 1e-12
 
 
 class TwoLevelParams(NamedTuple):
@@ -106,29 +106,6 @@ def phi_dxx(a: float, eps: float, x: float) -> float:
         series = 2.0 / 3.0 + 2.0 * u**2 / 15.0 + 4.0 * u**4 / 315.0 + 2.0 * u**6 / 2835.0
         return float(4.0 * u_over_d**3 * series)
     return float(4.0 * (0.5 * math.sinh(2.0 * u) - u) / d**3)
-
-
-class ChainCheck(NamedTuple):
-    phi: float
-    x_kernel: float
-    x_log: float
-    ok: bool
-
-
-def phi_chain_check(a: float, eps: float, x: float) -> ChainCheck:
-    """Check the chain Phi >= x L(a, eps) >= x log(a/eps) for 0 < eps < a <= 1.
-
-    The hypothesis gate is mandatory: the chain fails outside it (for example
-    a = 10, eps = 0.01 breaks L(a, eps) >= log(a/eps)).
-    """
-    if not 0.0 < eps < a <= 1.0:
-        raise DomainError(f"phi_chain_check requires 0 < eps < a <= 1, got ({a}, {eps})")
-    _check_domain(a, eps, x)
-    val = phi(a, eps, x)
-    x_kernel = x * log_mean_kernel(a, eps)
-    x_log = x * math.log(a / eps)
-    ok = (val >= x_kernel - CHAIN_TOL) and (x_kernel >= x_log - CHAIN_TOL)
-    return ChainCheck(phi=val, x_kernel=x_kernel, x_log=x_log, ok=ok)
 
 
 def binary_entropy(q: float) -> float:

@@ -4,7 +4,8 @@ optimizer for the constrained entropy minimization.
 
 The pipeline lower-bounds D(rho || pinch(rho)) in three monotone steps:
 SVD pinching (data processing) -> sum of scalar Phi terms -> a single merged
-Phi(A, E, X) -> the optimizer value Phi(a_star, eps, c).
+Phi(A, E, X) -> the optimizer value Phi(a_star, eps, c).  The tests check the
+optimizer against rejection-sampled feasible states (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleError, NumericError, SamplingError, _fail_first
-from .linalg import PSD_TOL, BlockState, _adjoint, _block_diag, _entropy_terms, _floor_mix_weight
-from .linalg import _block_spectra, _gaussian, _masses, _stack, _state_entropy, _validated_blocks
-from .linalg import coherence_entropy
+from .errors import DomainError, InfeasibleError, NumericError, _fail_first
+from .linalg import BlockState, _adjoint, _block_diag, _entropy_terms, _masses, _stack
+from .linalg import _validated_blocks, coherence_entropy
 from .twolevel import X_DOMAIN_TOL, TwoLevelParams, _phi, phi
 
 COMPLETENESS_TOL = 1e-12
@@ -28,7 +28,6 @@ MERGE_FLOOR_TOL = 1e-10  # each block's a_j against the floor a0
 MERGE_X_TOL = 1e-12  # total coherence X <= A E
 MERGE_RADII_TOL = 1e-12  # sum_j a_j r_j^2 against A, relative to 1 + A
 OPTIMIZER_TOL = 1e-14  # the optimizer's floor and coherence feasibility
-MAX_ATTEMPTS = 10_000  # rejection-sampling draws of sample_feasible
 
 
 class KrausChannel(NamedTuple):
@@ -346,81 +345,6 @@ def optimizer(a0: float, eps: float, c: float, d_p: int, d_q: int) -> OptimizerR
     state = equality_state(a0, eps, c, d_p, d_q)
     a_star = float(state.a[0, 0].real)
     return OptimizerResult(state=state, value=phi(a_star, eps, c), a_star=a_star)
-
-
-def sample_feasible(
-    a0: float, eps: float, c: float, d_p: int, d_q: int, rng: np.random.Generator
-) -> BlockState:
-    """Random state with lambda_min(A) >= a0, Tr C = eps, ||B||_F^2 = c.
-
-    Ginibre blocks, with A convex-mixed toward the scaled identity until the
-    floor holds and B rescaled to hit c exactly; draws failing assembled
-    positivity are rejected, up to MAX_ATTEMPTS draws.  Parameters that no
-    state meets raise InfeasibleError before the first draw.
-    """
-    _optimizer_hypotheses(a0, eps, c, d_p, d_q)
-    target_a = 1.0 - eps
-    for _ in range(MAX_ATTEMPTS):
-        g = _gaussian(rng, (d_p, d_p))
-        a_raw = g @ g.conj().T
-        a_raw *= target_a / np.trace(a_raw).real
-        level = target_a / d_p
-        w = np.linalg.eigvalsh(a_raw)
-        if w[0] >= a0:
-            t_mix = rng.uniform(0.0, 1.0)
-            if (1 - t_mix) * w[0] + t_mix * level < a0:
-                t_mix = 1.0
-        else:
-            t_mix = _floor_mix_weight(w, level, a0)
-        a = (1 - t_mix) * a_raw + t_mix * level * np.eye(d_p)
-
-        if eps > 0.0:
-            g = _gaussian(rng, (d_q, d_q))
-            c_blk = g @ g.conj().T
-            c_blk *= eps / np.trace(c_blk).real
-        else:
-            c_blk = np.zeros((d_q, d_q), dtype=complex)
-
-        if c > 0.0:
-            b = _gaussian(rng, (d_p, d_q))
-            b *= math.sqrt(c) / np.linalg.norm(b)
-        else:
-            b = np.zeros((d_p, d_q), dtype=complex)
-
-        state = BlockState(dim_p=d_p, dim_q=d_q, a=a, b=b, c=c_blk)
-        if np.linalg.eigvalsh(state.to_matrix())[0] >= -PSD_TOL:
-            return state
-    raise SamplingError(
-        f"no feasible state found in {MAX_ATTEMPTS} attempts "
-        f"(a0={a0}, eps={eps}, c={c}, dims=({d_p},{d_q}))"
-    )
-
-
-class VariationalResult(NamedTuple):
-    min_found: float
-    bound: float
-    gap: float
-
-
-def variational_check(
-    a0: float,
-    eps: float,
-    c: float,
-    d_p: int,
-    d_q: int,
-    trials: int,
-    seed: int,
-) -> VariationalResult:
-    """Sample feasible states and verify min D(rho||Pi rho) >= Phi(a_star, eps, c)."""
-    opt = optimizer(a0, eps, c, d_p, d_q)
-    min_found = coherence_entropy(opt.state)
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), d_p, d_q]))
-    for _ in range(trials):
-        state = sample_feasible(a0, eps, c, d_p, d_q, rng)
-        min_found = min(min_found, _state_entropy(state, _block_spectra(state.a, state.c)))
-    return VariationalResult(
-        min_found=min_found, bound=opt.value, gap=min_found - opt.value
-    )
 
 
 def pipeline_values(state: BlockState, a0: float) -> tuple:

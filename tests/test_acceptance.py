@@ -14,7 +14,6 @@ from cebound import (
     OrbitConfig,
     bkm_form,
     bkm_hessian,
-    bkm_quadrature,
     bound_report,
     channel_weights,
     coherence_entropy,
@@ -33,7 +32,6 @@ from cebound import (
     polygon_phases,
     pythagorean_residual,
     random_block_state,
-    sample_feasible,
     separation_family,
     sharpness_family,
     svd_pinch,
@@ -42,8 +40,9 @@ from cebound import (
 )
 from cebound.bkm import PETZ_FUNCTIONS
 from cebound.cli import main
-from cebound.dephasing import entropy_production, fd_rate
+from cebound.dephasing import entropy_production
 from cebound.linalg import _entropy_terms
+from oracles import bkm_quadrature, fd_rate, sample_feasible
 
 SEED = 20260823
 

@@ -15,7 +15,6 @@ from cebound import (
     bkm_apply,
     bkm_form,
     bkm_hessian,
-    bkm_quadrature,
     channel_weights,
     coherence_entropy,
     log_mean_kernel,
@@ -31,6 +30,7 @@ from cebound.bkm import PETZ_FUNCTIONS, _form, _rotate
 from cebound.linalg import pinch
 
 from conftest import random_states
+from oracles import bkm_quadrature
 
 positive = st.floats(min_value=1e-8, max_value=1e4)
 

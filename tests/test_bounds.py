@@ -17,7 +17,6 @@ from cebound import (
     binary_entropy,
     bkm_apply,
     bkm_form,
-    bkm_quadrature,
     block_decompose,
     bound_report,
     channel_weights,
@@ -39,6 +38,7 @@ from cebound.bounds import MARGIN_TOL
 from cebound.linalg import SUPPORT_TOL, pinch
 
 from conftest import random_states
+from oracles import bkm_quadrature
 
 
 def flat_state(seed=1):
@@ -427,6 +427,16 @@ def test_sharpness_rejects_out_of_range():
         sharpness_family(0.5)
     with pytest.raises(DomainError):
         sharpness_family(0.0)
+
+
+def test_sharpness_rejects_a_subnormal_q():
+    # (1 - q)/q overflows for subnormal q: 1e-310 gave bkm = inf and both
+    # ratios 0, with numpy's overflow warning
+    tiny = np.finfo(float).tiny
+    with pytest.raises(DomainError, match="q must be at least 2.2250738585072014e-308"):
+        sharpness_family(1e-310)
+    pt = sharpness_family(tiny)
+    assert (pt.ratio_bkm, pt.ratio_log) == (1.0, 1.0)
 
 
 # -------------------------------------------------------- separation family

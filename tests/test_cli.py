@@ -651,6 +651,23 @@ def test_orbit_exits_one_at_the_first_violated_row(capsys, monkeypatch, two_leve
     assert len(out_path.read_text().splitlines()) == 6
 
 
+@pytest.mark.parametrize("gamma, code", [("1e308", 2), ("8.9e307", 0)])
+def test_orbit_needs_a_finite_bound_prefactor(capsys, tmp_path, gamma, code):
+    # at gamma = 1e308 the prefactor 2 gamma overflowed: every row read nan for
+    # bkm_bound, log_bound and margin, and nan passed the margin check (exit 0)
+    state = pathlib.Path(__file__).parent / "golden" / "boundary_3_2.json"
+    out_path = tmp_path / "orbit.csv"
+    flags = ("--gamma", gamma, "--t-max", "1", "--steps", "2", "--out", str(out_path))
+    got, out, err = run(capsys, "orbit", str(state), *flags)
+    assert got == code
+    if code:
+        assert (out, err) == ("", "error: need gamma > 0 with 2*gamma finite, "
+                                  "finite t_max > 0, steps >= 2\n")
+        return
+    rows = [line.split(",") for line in out_path.read_text().splitlines()[1:]]
+    assert all(math.isfinite(float(row[k])) for row in rows for k in (3, 4))
+
+
 def test_orbit_deterministic(capsys, two_level_file, tmp_path):
     args = (
         "orbit", two_level_file,
@@ -715,6 +732,14 @@ def test_sharpness_command(capsys):
     ratios = [float(line.split(",")[3]) for line in lines[1:]]
     assert ratios == sorted(ratios, reverse=True)
     assert abs(ratios[-1] - 1.0) <= 0.1
+
+
+def test_sharpness_rejects_a_subnormal_q(capsys):
+    # 1e-310 printed bkm = inf and ratios 0 with an overflow warning, and exited 0
+    code, out, err = run(capsys, "sharpness", "--q", "1e-310")
+    assert code == 2
+    assert out == "q,entropy,bkm,ratio_bkm,ratio_log\n"
+    assert err.startswith("error: q must be at least 2.2250738585072014e-308")
 
 
 def test_modulus_command(capsys):

@@ -24,10 +24,11 @@ from cebound import (
     write_orbit_csv,
 )
 from cebound.bkm import bkm_form, log_mean_kernel
-from cebound.dephasing import analytic_rate, fd_rate
+from cebound.dephasing import analytic_rate
 from cebound.linalg import pinch
 
 from conftest import random_states
+from oracles import fd_rate
 
 
 def mixed_two_level(q=0.25, shrink=0.5):

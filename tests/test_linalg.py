@@ -29,7 +29,6 @@ from cebound import (
     pythagorean_residual,
     random_block_state,
     read_state_json,
-    relative_entropy,
     state_payload,
     two_level_pure,
     validate_density,
@@ -41,6 +40,7 @@ import cebound.linalg
 from cebound.twolevel import binary_entropy
 
 from conftest import random_states
+from oracles import relative_entropy
 
 
 def test_validate_density_rejects_bad_trace_and_negativity():
@@ -155,7 +155,7 @@ def _public_state_functions():
         if first.annotation in (BlockState, "BlockState"):
             others = {p.name: _OTHER_ARGS[p.name] for p in rest if p.default is p.empty}
             found[name] = lambda s, f=obj, kw=others: f(s, **kw)
-    for name in ("bkm_apply", "bkm_form", "bkm_quadrature", "channel_weights"):
+    for name in ("bkm_apply", "bkm_form", "channel_weights"):
         found[name] = lambda s, f=getattr(cebound, name): f(s.a, s.c, s.b)
     return found
 
@@ -175,10 +175,10 @@ def _spoiled(block):
 
 def test_the_sweep_finds_the_public_functions_of_a_state():
     assert set(_CHECKED) >= {
-        "OrbitConfig", "bkm_apply", "bkm_form", "bkm_quadrature", "bound_report",
-        "channel_weights", "coherence_entropy", "fidelity_bound", "log_boundary_bound",
-        "midpoint_margin", "midpoint_margins", "operator_bound", "petz_midpoint_margin",
-        "pinsker_bound", "pipeline_values", "pythagorean_residual", "svd_pinch",
+        "OrbitConfig", "bkm_apply", "bkm_form", "bound_report", "channel_weights",
+        "coherence_entropy", "fidelity_bound", "log_boundary_bound", "midpoint_margin",
+        "midpoint_margins", "operator_bound", "petz_midpoint_margin", "pinsker_bound",
+        "pipeline_values", "pythagorean_residual", "svd_pinch",
     }
 
 
