@@ -225,7 +225,7 @@ def bound_report(state: BlockState, regularize: bool = False) -> BoundReport:
         for name, value in bounds.margins().items()
         if log_b is not None or not name.startswith("log")
     }
-    a0 = float(sp.wa[0]) if _support(sp.wa)[0] else 0.0  # lambda_min(A), 0 on ker A
+    a0 = float(sp.wa[0]) if sp.wa[0] > POSITIVITY_FLOOR else 0.0  # 0 where A fails the gate
     eps_q = float(np.trace(state.c).real)
     frob_sq = float(np.sum(np.abs(state.b) ** 2))
     pinsker = float(bounds.pinsker)

@@ -88,10 +88,10 @@ def _cmd_verify(args) -> int:
         "pass": ok,
     }
     text = json.dumps(summary, sort_keys=True, indent=2)
-    print(text)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
+    print(text)
     return 0 if ok else 1
 
 
@@ -140,9 +140,9 @@ def _cmd_separation(args) -> int:
 
 
 def _cmd_sharpness(args) -> int:
+    points = [sharpness_family(q) for q in args.q]
     print("q,entropy,bkm,ratio_bkm,ratio_log")
-    for q in args.q:
-        pt = sharpness_family(q)
+    for q, pt in zip(args.q, points):
         print(
             f"{q:.17g},{pt.entropy:.17g},{pt.bkm:.17g},"
             f"{pt.ratio_bkm:.17g},{pt.ratio_log:.17g}"

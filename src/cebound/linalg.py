@@ -4,6 +4,8 @@ relative entropy of coherence, and seeded random state generation.
 All matrices are dense complex numpy arrays.  Entropies are in nats.
 ``_support`` is the one support model: eigenvalues at or below
 ``SUPPORT_TOL * (1 + max|w|)`` are zero, with ``0 log 0 = 0`` and ``sqrt 0 = 0``.
+It decides kernels only: whether A and C are positive definite is decided by
+``_BlockSpectra.check_positive`` alone.
 """
 
 from __future__ import annotations
@@ -242,17 +244,6 @@ def _spectral_entropy_terms(rho, w_rho, ws, vs) -> np.ndarray:
     return _xlogx_sum(w_rho) - _trace_log(rho, ws, vs)
 
 
-def _entropy_terms(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Tr[rho (log rho - log sigma)] for PSD rho, sigma (not necessarily trace 1).
-
-    Returns +inf when the support of rho is not contained in the support of
-    sigma.
-    """
-    return float(
-        _spectral_entropy_terms(rho, np.linalg.eigvalsh(rho), *np.linalg.eigh(sigma))
-    )
-
-
 def coherence_entropy(state: BlockState) -> float:
     """D(rho || pinch(rho)) = S(pinch(rho)) - S(rho), the relative entropy of coherence.
 
@@ -351,17 +342,15 @@ def _floor_mix_weight(w: np.ndarray, level: float, a0: float) -> np.ndarray:
     return np.where(w0 >= floor, 0.0, np.where(level <= floor, 1.0, crossing))
 
 
-def _max_psd_scale(wa, va, b, wc, vc) -> np.ndarray:
+def _max_psd_scale(sp: _BlockSpectra, b) -> np.ndarray:
     """Largest s with [[A, s B], [s B*, C]] PSD, from the spectra of A and C,
     over any leading stack axes.
 
-    By the Schur complement, s = 1/||A^{-1/2} B C^{-1/2}||_2.  A or C that is
-    numerically singular raises instead of returning 0, inf or nan.
+    By the Schur complement, s = 1/||A^{-1/2} B C^{-1/2}||_2.  A or C that
+    fails the positivity gate raises instead of returning 0, inf or nan.
     """
-    for name, w in (("A", wa), ("C", wc)):
-        message = f"boundary ensemble needs {name} positive definite, lambda_min = {{:.3e}}"
-        _fail_first(~np.all(_support(w), axis=-1), PositivityError, message, w[..., 0])
-    x = (_adjoint(va) @ b @ vc) / np.sqrt(wa[..., :, None] * wc[..., None, :])
+    sp.check_positive()
+    x = (_adjoint(sp.va) @ b @ sp.vc) / np.sqrt(sp.wa[..., :, None] * sp.wc[..., None, :])
     return 1.0 / np.linalg.svd(x, compute_uv=False)[..., 0]
 
 
@@ -416,8 +405,7 @@ def _boundary_state(s: BlockState, a0: float, eps_q: float) -> BlockState:
     a = (1 - t[..., None, None]) * a_raw + t[..., None, None] * level * np.eye(dim_p)
     wa = (1 - t[..., None]) * w_raw + t[..., None] * level  # same eigenvectors va
     b_unit = s.b / _frobenius(s.b)[..., None, None]
-    wc, vc = np.linalg.eigh(c)
-    scale = _max_psd_scale(wa, va, b_unit, wc, vc)[..., None, None]
+    scale = _max_psd_scale(_BlockSpectra(wa, va, *np.linalg.eigh(c)), b_unit)[..., None, None]
     return BlockState(dim_p=dim_p, dim_q=dim_q, a=a, b=scale * b_unit, c=c)
 
 

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, InfeasibleError, NumericError, _fail_first
-from .linalg import BlockState, _adjoint, _block_diag, _entropy_terms, _masses, _stack
+from .linalg import BlockState, _adjoint, _block_diag, _masses, _spectral_entropy_terms, _stack
 from .linalg import _validated_blocks, coherence_entropy
 from .twolevel import X_DOMAIN_TOL, TwoLevelParams, _phi, phi
 
@@ -285,7 +285,7 @@ def merge_channel(spec: MergeSpec) -> MergeResult:
     if np.max(np.abs(m_out[:2, :2] - active)) > MERGE_TOL:
         raise NumericError("merged active block does not match (A, sqrt(X); sqrt(X), E)")
     d_out = channel.apply(d_in)
-    out_entropy = _entropy_terms(m_out, d_out)
+    out_entropy = _spectral_entropy_terms(m_out, np.linalg.eigvalsh(m_out), *np.linalg.eigh(d_out))
     right = phi(a_m, e_m, x_m)
     if abs(out_entropy - right) > MERGE_TOL * (1.0 + abs(right)):
         raise NumericError("merged channel output entropy does not equal Phi(A, E, X)")

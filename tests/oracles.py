@@ -6,7 +6,8 @@ tests can cross-check that way.
 
 - ``bkm_quadrature``: ``Tr[B* Omega^{-1}(B)]`` by quadrature of the resolvent
   integral, against the spectral ``bkm_form``.
-- ``relative_entropy``: the general Umegaki ``D(rho || sigma)``.
+- ``entropy_terms`` and ``relative_entropy``: ``Tr[rho (log rho - log sigma)]``
+  for any PSD pair, and the general Umegaki ``D(rho || sigma)``.
 - ``sample_feasible`` and ``variational_check``: rejection sampling of states
   with a given floor, leakage and coherence, and the variational check that no
   sampled state beats the optimizer.
@@ -26,7 +27,7 @@ from cebound import variational
 from cebound.bkm import log_mean_kernel
 from cebound.dephasing import OrbitConfig, _orbit_terms
 from cebound.errors import DomainError, NumericError
-from cebound.linalg import PSD_TOL, BlockState, _block_spectra, _entropy_terms
+from cebound.linalg import PSD_TOL, BlockState, _block_spectra, _spectral_entropy_terms
 from cebound.linalg import _floor_mix_weight, _gaussian, _validated_blocks
 from cebound.linalg import coherence_entropy, validate_density
 from cebound.twolevel import _check_domain, phi
@@ -76,6 +77,13 @@ def bkm_quadrature(a, c, b, tol: float = 1e-10) -> float:
     raise NumericError("bkm_quadrature did not converge in 24 refinement levels")
 
 
+def entropy_terms(rho, sigma) -> float:
+    """Tr[rho (log rho - log sigma)] for PSD rho, sigma (not necessarily trace 1),
+    from one eigvalsh of rho and one eigh of sigma; +inf when the support of
+    rho is not contained in the support of sigma."""
+    return float(_spectral_entropy_terms(rho, np.linalg.eigvalsh(rho), *np.linalg.eigh(sigma)))
+
+
 def relative_entropy(rho, sigma) -> float:
     """Umegaki relative entropy D(rho || sigma) in nats.
 
@@ -87,7 +95,7 @@ def relative_entropy(rho, sigma) -> float:
         raise DomainError(
             f"dimension mismatch: {rho.shape[0]} vs {sigma.shape[0]}"
         )
-    return _entropy_terms(rho, sigma)
+    return entropy_terms(rho, sigma)
 
 
 def sample_feasible(

@@ -41,8 +41,7 @@ from cebound import (
 from cebound.bkm import PETZ_FUNCTIONS
 from cebound.cli import main
 from cebound.dephasing import entropy_production
-from cebound.linalg import _entropy_terms
-from oracles import bkm_quadrature, fd_rate, sample_feasible
+from oracles import bkm_quadrature, entropy_terms, fd_rate, sample_feasible
 
 SEED = 20260823
 
@@ -214,7 +213,7 @@ def test_criterion_08_phi_properties():
         worst_dxx = max(worst_dxx, abs(phi_dxx(a, eps, x) - fd2) / abs(fd2))
         # matrix oracle: relative entropy of the explicit 2x2 pair
         rho = np.array([[a, math.sqrt(x)], [math.sqrt(x), eps]], dtype=complex)
-        oracle = _entropy_terms(rho, np.diag([a, eps]).astype(complex))
+        oracle = entropy_terms(rho, np.diag([a, eps]).astype(complex))
         worst_oracle = max(worst_oracle, abs(phi(a, eps, x) - oracle))
         # monotonicity and midpoint convexity on a fresh pair
         x1, x2 = sorted(rng.uniform(0.0, 1.0, size=2) * a * eps)
@@ -332,7 +331,7 @@ def test_criterion_12_dephasing():
             )
             alpha = math.exp(-gamma * t)
             entropies.append(
-                _entropy_terms(pinch(s) + alpha * s.off_diagonal(), pinch(s))
+                entropy_terms(pinch(s) + alpha * s.off_diagonal(), pinch(s))
             )
         monotone &= all(
             entropies[j + 1] <= entropies[j] + 1e-12 for j in range(len(grid) - 1)

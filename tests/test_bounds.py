@@ -35,7 +35,7 @@ from cebound import (
 )
 from cebound.bkm import log_mean_kernel
 from cebound.bounds import MARGIN_TOL
-from cebound.linalg import SUPPORT_TOL, pinch
+from cebound.linalg import SUPPORT_TOL, _block_spectra, _max_psd_scale, pinch
 
 from conftest import random_states
 from oracles import bkm_quadrature
@@ -89,14 +89,15 @@ BKM_DOMAIN_CALLS = {
     "operator_bound": operator_bound,
     "bound_report": bound_report,
     "OrbitConfig": lambda s: OrbitConfig(state=s, gamma=1.0, t_max=1.0, steps=2),
+    "boundary sampler": lambda s: _max_psd_scale(_block_spectra(s.a, s.c), s.b),
 }
 
 
 @pytest.mark.parametrize("block", ["A", "C"])
 @pytest.mark.parametrize("name", list(BKM_DOMAIN_CALLS))
 def test_singular_block_fails_the_one_positivity_gate(name, block):
-    # every function of the BKM domain A, C > 0 raises the same error, which
-    # names the block and its lambda_min
+    # every function of the BKM domain A, C > 0, and the boundary sampler's
+    # scale of B, raises the same error, which names the block and its lambda_min
     diag = [0.5, 0.0, 0.5] if block == "A" else [0.5, 0.3, 0.2, 0.0]
     state = block_decompose(np.diag(diag), 2)
     message = f"^{block} must be positive definite, lambda_min = 0.000e\\+00$"
@@ -121,9 +122,10 @@ def test_regularized_report_of_a_pure_state(dim):
 
 
 @pytest.mark.parametrize("dim", [2, 32, 50])
-def test_report_a0_reads_the_support_model(dim):
-    # A of a pure state has rank 1, so lambda_min(A) lies in ker A: the report
-    # prints a0 = 0.0, not eigh's rounding-level value (-1.4e-16 at 32 + 32)
+def test_report_a0_reads_the_positivity_gate(dim):
+    # A of a pure state has rank 1, so lambda_min(A) fails the positivity gate:
+    # the report prints a0 = 0.0, not eigh's rounding-level value (-1.4e-16 at
+    # 32 + 32)
     rng = np.random.default_rng(dim)
     psi = rng.standard_normal(2 * dim) + 1j * rng.standard_normal(2 * dim)
     psi /= np.linalg.norm(psi)
@@ -135,6 +137,22 @@ def test_report_a0_reads_the_support_model(dim):
     # on a positive definite A, a0 is lambda_min(A) as eigh gives it
     state = random_block_state(dim, dim, 5)
     assert bound_report(state).params["a0"] == np.linalg.eigh(state.a)[0][0]
+
+
+def test_a_just_above_the_floor_is_positive_definite_everywhere():
+    # lambda_min(A) = 1.2e-12 clears POSITIVITY_FLOOR = 1e-12 but not the support
+    # cut SUPPORT_TOL (1 + 0.5) = 1.5e-12: the gate alone decides A > 0, so the
+    # report's a0 is lambda_min(A) and the boundary sampler scales B
+    a = np.diag([0.5, 1.2e-12]).astype(complex)
+    c = np.array([[0.5]], dtype=complex)
+    b = np.array([[0.1], [0.0]], dtype=complex)
+    assert 1.2e-12 <= SUPPORT_TOL * 1.5
+    report = bound_report(BlockState(2, 1, a, b, c))
+    assert not report.regularized
+    assert report.params["a0"] == 1.2e-12
+    # the Schur complement: s = 1/||A^{-1/2} B C^{-1/2}||_2 = sqrt(0.5 * 0.5)/0.1
+    scale = _max_psd_scale(_block_spectra(a, c), b)
+    assert scale == pytest.approx(5.0, rel=1e-15)
 
 
 # --------------------------------------------------------------- log bound

@@ -16,6 +16,7 @@ import cebound
 from cebound import (
     BlockState,
     DomainError,
+    NumericError,
     OrbitConfig,
     PositivityError,
     block_decompose,
@@ -352,8 +353,24 @@ def test_sampler_error_names_the_failing_trial(monkeypatch):
     _craft_draw(monkeypatch, _trial_seed(2, 2, 1, 7), repeat_last_row)
     with pytest.raises(
         PositivityError,
-        match=r"needs C positive definite.*dims \(2, 2\), trial 1, ensemble boundary, seed 7",
+        match=r"^C must be positive definite, lambda_min = .*"
+        r"dims \(2, 2\), trial 1, ensemble boundary, seed 7\)$",
     ):
+        verify_group(2, 2, 3, 7)
+
+
+def test_chunk_error_that_no_trial_reproduces_is_raised_as_it_was(monkeypatch):
+    # the trial-by-trial replay only adds the state to an error it reproduces;
+    # an error of the chunk's stack alone propagates unchanged
+    stack_margins = verify._stack_margins
+
+    def chunk_only(state, sigma):
+        if len(state.a) > 1:  # the chunk's stack, not a one-trial replay
+            raise NumericError("chunk only")
+        return stack_margins(state, sigma)
+
+    monkeypatch.setattr(verify, "_stack_margins", chunk_only)
+    with pytest.raises(NumericError, match="^chunk only$"):
         verify_group(2, 2, 3, 7)
 
 
@@ -738,8 +755,27 @@ def test_sharpness_rejects_a_subnormal_q(capsys):
     # 1e-310 printed bkm = inf and ratios 0 with an overflow warning, and exited 0
     code, out, err = run(capsys, "sharpness", "--q", "1e-310")
     assert code == 2
-    assert out == "q,entropy,bkm,ratio_bkm,ratio_log\n"
+    assert out == ""
     assert err.startswith("error: q must be at least 2.2250738585072014e-308")
+
+
+def test_sharpness_bad_q_exits_two_before_output(capsys):
+    # every point is computed before the header, so a bad q after a good one
+    # prints nothing on stdout, as modulus does
+    code, out, err = run(capsys, "sharpness", "--q", "1e-2,1e-310")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: q must be at least 2.2250738585072014e-308")
+
+
+def test_verify_unwritable_out_exits_two_before_output(capsys, tmp_path):
+    # --out is written before the summary is printed
+    out_path = tmp_path / "missing" / "x.json"
+    argv = ["verify", "--dims", "1..1", "--trials", "1", "--seed", "7", "--out", str(out_path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "x.json" in err
 
 
 def test_modulus_command(capsys):

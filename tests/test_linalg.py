@@ -452,13 +452,14 @@ def test_random_state_boundary_floor_and_maximal_coherence(dims):
 
 
 def test_random_state_boundary_singular_block_is_typed_error(monkeypatch):
-    # a pure 4x4 draw makes A and C rank one; with a0 = 0 nothing mixes A,
-    # so the largest PSD scale of B is undefined
+    # a pure 4x4 draw makes A and C rank one; with a0 = 0 the mix lifts A only
+    # to a rounding-level floor, so the largest PSD scale of B is undefined and
+    # the sampler raises the positivity gate's error
     psi = np.array([0.5, 0.5j, -0.5, 0.5])
     monkeypatch.setattr(
         cebound.linalg, "_ginibre_density", lambda g: np.outer(psi, psi.conj())
     )
-    with pytest.raises(PositivityError):
+    with pytest.raises(PositivityError, match="^A must be positive definite, lambda_min = "):
         random_block_state(2, 2, 1, "boundary", a0=0.0, eps_q=0.1)
 
 
@@ -470,6 +471,12 @@ def test_frobenius_matches_norm_bit_for_bit(rng):
         x = rng.standard_normal((3,) + shape) + 1j * rng.standard_normal((3,) + shape)
         got = cebound.linalg._frobenius(x)
         assert [float(v) for v in got] == [np.linalg.norm(m) for m in x], shape
+
+
+@pytest.mark.parametrize("dims", [(0, 2), (2, 0), (-1, 1)])
+def test_random_state_rejects_a_dimension_below_one(dims):
+    with pytest.raises(DomainError, match="dimensions must be >= 1"):
+        random_block_state(*dims, 3)
 
 
 def test_random_state_bad_ensemble():

@@ -9,15 +9,14 @@ from hypothesis import strategies as st
 
 from cebound import DomainError, binary_entropy, phi, phi_dx, phi_dxx
 from cebound.bkm import log_mean_kernel
-from cebound.linalg import _entropy_terms
 
-from oracles import phi_chain_check
+from oracles import entropy_terms, phi_chain_check
 
 
 def matrix_oracle(a, eps, x):
     """Relative entropy of the explicit 2x2 pair defining Phi."""
     rho = np.array([[a, math.sqrt(x)], [math.sqrt(x), eps]], dtype=complex)
-    return _entropy_terms(rho, np.diag([a, eps]).astype(complex))
+    return entropy_terms(rho, np.diag([a, eps]).astype(complex))
 
 
 def draw_params(rng, interior=False):
@@ -175,6 +174,14 @@ def test_phi_dxx_boundary_is_infinite():
     assert phi_dxx(0.5, 0.2, 0.1) == math.inf
 
 
+@pytest.mark.parametrize("derivative", [phi_dx, phi_dxx])
+@pytest.mark.parametrize("a, eps", [(0.0, 0.5), (0.5, 0.0)])
+def test_derivatives_need_positive_a_and_eps(derivative, a, eps):
+    # (a, eps, 0) lies in Phi's domain, but the kernel L(a, eps) does not exist
+    with pytest.raises(DomainError, match=f"^{derivative.__name__} requires a > 0 and eps > 0$"):
+        derivative(a, eps, 0.0)
+
+
 # ------------------------------------------------------------ chain check
 
 def test_chain_check_zero():
@@ -189,9 +196,11 @@ def test_chain_check_interior():
 
 
 def test_chain_check_grid():
+    # Phi - x L(a, eps) is of order x^2 Phi'', so at x = 1e-6 a eps the chain is
+    # tight to about 1e-6 relative and a bias of Phi of 1e-2 fails it
     for a in np.linspace(0.3, 1.0, 8):
         for eps in np.linspace(0.05, 0.45, 5) * a:
-            for frac in (0.0, 0.5, 1.0):
+            for frac in (0.0, 1e-6, 0.5, 1.0):
                 assert phi_chain_check(a, eps, frac * a * eps).ok
 
 

@@ -30,7 +30,7 @@ from cebound import (
     verify_group,
 )
 from cebound import variational
-from cebound.linalg import _entropy_terms, _stack, block_decompose, pinch
+from cebound.linalg import _stack, block_decompose, pinch
 from cebound.twolevel import _phi
 from cebound.variational import (
     POLYGON_TOL,
@@ -42,7 +42,7 @@ from cebound.variational import (
 )
 
 from conftest import random_states
-from oracles import relative_entropy, sample_feasible, variational_check
+from oracles import entropy_terms, relative_entropy, sample_feasible, variational_check
 
 
 def achieved_modulus(lengths, angles):
@@ -370,6 +370,12 @@ def test_optimizer_infeasible():
         optimizer(0.5, 0.05, 0.0, 3, 1)
     with pytest.raises(InfeasibleError, match="coherence"):
         optimizer(0.1, 0.05, 0.1, 2, 1)
+    for d_p, d_q in [(0, 1), (1, 0)]:
+        with pytest.raises(InfeasibleError, match="^dimensions must be >= 1$"):
+            optimizer(0.1, 0.05, 0.0, d_p, d_q)
+    for a0, eps, c in [(0.0, 0.05, 0.0), (-0.1, 0.05, 0.0), (0.1, -0.05, 0.0), (0.1, 0.05, -1.0)]:
+        with pytest.raises(InfeasibleError, match=r"^need a0 > 0, eps >= 0, c >= 0$"):
+            optimizer(a0, eps, c, 2, 1)
 
 
 def test_equality_family_phase_invariance():
@@ -589,6 +595,17 @@ def test_corrupted_merge_fails_both_checks_alike(monkeypatch, target, corrupt, d
         assert dense is (NumericError if delta >= 1e-6 else None)
 
 
+def test_merge_output_entropy_check_bites(monkeypatch):
+    # an output entropy off by more than MERGE_TOL (1 + Phi) fails the merge
+    spectral = variational._spectral_entropy_terms
+    monkeypatch.setattr(
+        variational, "_spectral_entropy_terms", lambda *args: spectral(*args) + 1e-6
+    )
+    spec = MergeSpec(blocks=((0.4, 0.03, 0.005), (0.3, 0.02, 0.004)), eps_rem=0.0, a0=0.3)
+    with pytest.raises(NumericError, match="output entropy does not equal Phi"):
+        merge_channel(spec)
+
+
 def test_merge_output_entropy_is_phi_of_the_active_block():
     # the spectators are diagonal in both the output and its pinching, so the
     # dense output entropy equals Phi of the 2x2 active block
@@ -609,4 +626,4 @@ def test_merge_output_entropy_is_phi_of_the_active_block():
         assert np.array_equal(spectators, d_out[2:, 2:])
         assert not np.any(m_out[:2, 2:])
         active = _phi(m_out[0, 0].real, m_out[1, 1].real, abs(m_out[0, 1]) ** 2)
-        assert abs(_entropy_terms(m_out, d_out) - active) <= 1e-14
+        assert abs(entropy_terms(m_out, d_out) - active) <= 1e-14
