@@ -441,23 +441,26 @@ def write_state_json(path, state: BlockState) -> None:
 
 def read_state_json(path) -> BlockState:
     """Load a BlockState from a state file; a malformed file raises ValidationError."""
-    with open(path) as fh:
+    import orjson  # imported here: verify reads no state file and starts numpy-only
+
+    with open(path, "rb") as fh:
         try:
-            payload = json.load(fh)
+            payload = orjson.loads(fh.read())
         except ValueError as exc:
             raise ValidationError(f"state file is not valid JSON: {exc}") from exc
     try:
         dim_p, dim_q = (_integer(payload[key], key) for key in ("dim_p", "dim_q"))
-        rows = [[complex(re, im) for re, im in row] for row in payload["matrix"]]
+        pairs = np.array(payload["matrix"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed state file: {exc}") from exc
     d = dim_p + dim_q
-    if len(rows) != d or any(len(row) != d for row in rows):
+    if pairs.shape != (d, d, 2) or pairs.dtype.kind not in "biuf":
         raise ValidationError(
-            f"matrix must be {d}x{d} for dim_p={dim_p}, dim_q={dim_q}"
+            f"matrix must be {d}x{d} [re, im] number pairs for dim_p={dim_p}, dim_q={dim_q}"
         )
-    rho = validate_density(np.array(rows), "state file matrix")
-    return _split(rho, dim_p)
+    # a view keeps each imaginary -0.0, which re + 1j*im would turn into +0.0
+    rho = np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
+    return _split(validate_density(rho, "state file matrix"), dim_p)
 
 
 def _integer(value, key: str) -> int:

@@ -4,7 +4,10 @@ import inspect
 import itertools
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -519,18 +522,29 @@ def _writer_states():
             dim_p, dim_q, 17, "boundary", a0=0.6 / dim_p, eps_q=0.2 / dim_p
         )
         yield pytest.param(boundary, id=f"boundary-{dim_p}-{dim_q}")
+    # a hand-written 1+1 diagonal state whose imaginary parts are -0.0
+    signed_zeros = BlockState(
+        dim_p=1,
+        dim_q=1,
+        a=np.array([[complex(0.25, -0.0)]]),
+        b=np.array([[complex(0.0, -0.0)]]),
+        c=np.array([[complex(0.75, -0.0)]]),
+    )
+    yield pytest.param(signed_zeros, id="signed-zeros-1-1")
 
 
 @pytest.mark.parametrize("state", list(_writer_states()))
 def test_state_file_bytes_and_round_trip(tmp_path, state):
     # one json.dumps pass writes what json.dump of the per-entry pairs wrote,
-    # byte for byte, and reading the file gives the matrix back bit for bit
+    # byte for byte, and reading the file gives the blocks back bit for bit,
+    # signed zeros included (np.array_equal would take -0.0 for 0.0)
     path = tmp_path / "state.json"
     write_state_json(path, state)
     assert path.read_bytes() == _reference_state_text(state).encode()
     back = read_state_json(path)
     assert (back.dim_p, back.dim_q) == (state.dim_p, state.dim_q)
-    assert np.array_equal(back.to_matrix(), state.to_matrix())
+    for got, want in ((back.a, state.a), (back.b, state.b), (back.c, state.c)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_state_file_bytes_of_extreme_floats(tmp_path):
@@ -559,6 +573,16 @@ def test_golden_state_file_rewrites_to_its_bytes(tmp_path):
     assert path.read_bytes() == GOLDEN_STATE.read_bytes()
 
 
+def test_importing_the_cli_leaves_orjson_unloaded():
+    # only read_state_json needs orjson; verify reads no state file, so its
+    # start-up imports numpy and nothing more
+    code = "import sys, cebound, cebound.cli; print('orjson' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cebound.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
 def test_state_json_rejects_non_psd(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(
@@ -585,13 +609,21 @@ def test_state_json_rejects_wrong_shape(tmp_path):
         '{"dim_p": 1, "dim_q": 1, "matrix": [["0.5", "0"], ["0", "0.5"]]}',
         '{"dim_p": 1.7, "dim_q": 1.6, "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}',
         '{"dim_p": true, "dim_q": 1, "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}',
+        '{"dim_p": 1, "dim_q": 1, "matrix": [[["0.5", 0], [0, 0]], [[0, 0], [0.5, 0]]]}',
+        '{"dim_p": 1, "dim_q": 1, "matrix": [[[0.5, 0], [0, null]], [[0, 0], [0.5, 0]]]}',
+        '{"dim_p": 1, "dim_q": 1, "matrix": [[[0.5, 0], [0, 0]], [[0.5, 0]]]}',
+        '{"dim_p": 1, "dim_q": 1, "matrix": [[[0.5, 0, 0], [0, 0]], [[0, 0], [0.5, 0]]]}',
+        '{"dim_p": 1, "dim_q": 1, "matrix": [[[NaN, 0], [0, 0]], [[0, 0], [0.5, 0]]]}',
+        '{"dim_p": 1, "dim_q": 1, "matrix": [[[1e400, 0], [0, 0]], [[0, 0], [0.5, 0]]]}',
+        b'{"dim_p": 1, "dim_q": 1, "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]], "\xff": 0}',
     ],
     ids=["not-json", "string-dim", "numbers-for-pairs", "string-entries",
-         "fractional-dim", "bool-dim"],
+         "fractional-dim", "bool-dim", "string-in-pair", "null-entry", "ragged-row",
+         "three-element-pair", "nan-literal", "overflowing-literal", "not-utf8"],
 )
 def test_state_json_rejects_malformed_file(tmp_path, text):
     path = tmp_path / "bad.json"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     with pytest.raises(ValidationError):
         read_state_json(path)
 
