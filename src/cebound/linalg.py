@@ -10,6 +10,7 @@ It decides kernels only: whether A and C are positive definite is decided by
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -50,11 +51,13 @@ def validate_hermitian(h, name: str = "matrix") -> np.ndarray:
 def validate_density(rho, name: str = "rho") -> np.ndarray:
     """Check that ``rho`` is a density matrix (Hermitian, PSD, unit trace)."""
     rho = validate_hermitian(rho, name)
-    w = np.linalg.eigvalsh(rho)
-    if w[0] < -PSD_TOL:
+    try:  # succeeds exactly when lambda_min > -PSD_TOL, up to LAPACK's rounding
+        np.linalg.cholesky(rho + PSD_TOL * np.eye(rho.shape[0]))
+    except np.linalg.LinAlgError:
+        lam = np.linalg.eigvalsh(rho)[0]
         raise ValidationError(
-            f"{name} is not positive semidefinite: lambda_min = {w[0]:.3e}"
-        )
+            f"{name} is not positive semidefinite: lambda_min = {lam:.3e}"
+        ) from None
     tr = float(np.trace(rho).real)
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValidationError(f"{name} has trace {tr!r}, expected 1")
@@ -444,15 +447,21 @@ def read_state_json(path) -> BlockState:
     import orjson  # imported here: verify reads no state file and starts numpy-only
 
     with open(path, "rb") as fh:
-        try:
-            payload = orjson.loads(fh.read())
-        except ValueError as exc:
-            raise ValidationError(f"state file is not valid JSON: {exc}") from exc
+        text = fh.read()
+    gc_was_enabled = gc.isenabled()
+    gc.disable()  # the parser's lists hold no cycle: del frees them, a GC pass frees nothing
     try:
+        payload = orjson.loads(text)
         dim_p, dim_q = (_integer(payload[key], key) for key in ("dim_p", "dim_q"))
         pairs = np.array(payload["matrix"])
+        del payload
+    except orjson.JSONDecodeError as exc:
+        raise ValidationError(f"state file is not valid JSON: {exc}") from exc
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed state file: {exc}") from exc
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     d = dim_p + dim_q
     if pairs.shape != (d, d, 2) or pairs.dtype.kind not in "biuf":
         raise ValidationError(

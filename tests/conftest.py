@@ -32,7 +32,7 @@ def rng():
 
 @pytest.fixture
 def lapack_calls(monkeypatch):
-    """Counter of np.linalg eigh, eigvalsh and svd calls by name, from now on.
+    """Counter of np.linalg eigh, eigvalsh, svd and cholesky calls by name, from now on.
 
     ``clear()`` it after building inputs that should not count.  Its
     ``matrices`` Counter, cleared on its own, counts the matrices those calls
@@ -43,7 +43,7 @@ def lapack_calls(monkeypatch):
     calls = Counter()
     calls.matrices = Counter()
     lock = threading.Lock()
-    for name in ("eigh", "eigvalsh", "svd"):
+    for name in ("eigh", "eigvalsh", "svd", "cholesky"):
         original = getattr(np.linalg, name)
 
         def counted(x, *args, _original=original, _name=name, **kwargs):

@@ -485,14 +485,16 @@ def test_orbit_trace_eigensolver_budget(lapack_calls):
 
 
 def test_report_path_lapack_budget(lapack_calls, tmp_path):
-    # the state file is validated once (1 eigvalsh, was 2); the report takes
-    # one eigh of A and of C, one eigvalsh of rho and of the fidelity's inner
-    # matrix, and one SVD of B: 5 calls, against 13
+    # the state file is validated once, by one Cholesky of rho + PSD_TOL I
+    # (was 1 eigvalsh, and 2 before that); the report takes one eigh of A and
+    # of C, one eigvalsh of rho and of the fidelity's inner matrix, and one
+    # SVD of B: 5 calls, against 13
     path = tmp_path / "state.json"
     write_state_json(path, random_block_state(3, 2, 7, "boundary", a0=0.2, eps_q=0.05))
     lapack_calls.clear()
     state = read_state_json(path)
     assert sum(lapack_calls.values()) == 1
+    assert lapack_calls["cholesky"] == 1 and lapack_calls["eigvalsh"] == 0
     lapack_calls.clear()
     bound_report(state)
     assert sum(lapack_calls.values()) <= 5

@@ -1,5 +1,6 @@
 """Hermitian core: validation, block decomposition, pinching, relative entropy."""
 
+import gc
 import inspect
 import itertools
 import json
@@ -51,6 +52,35 @@ def test_validate_density_rejects_bad_trace_and_negativity():
         validate_density(np.diag([0.5, 0.6]))
     with pytest.raises(ValidationError):
         validate_density(np.diag([1.5, -0.5]))
+
+
+def test_validate_density_rejects_an_empty_matrix():
+    # a typed error from the trace check, where an eigvalsh gate indexed an
+    # empty spectrum and raised numpy's IndexError
+    for check in (validate_density, lambda rho: block_decompose(rho, 0)):
+        with pytest.raises(ValidationError, match=r"^rho has trace 0.0, expected 1$"):
+            check(np.zeros((0, 0)))
+
+
+def _state_with_lambda_min(d: int, lam: float, seed: int) -> np.ndarray:
+    """A Hermitian unit-trace d x d matrix whose least eigenvalue is ``lam``."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    w = rng.uniform(0.5, 1.5, d)
+    w = np.concatenate(([lam], w[1:] * (1.0 - lam) / w[1:].sum()))
+    rho = (q * w) @ q.conj().T
+    return 0.5 * (rho + rho.conj().T)
+
+
+@pytest.mark.parametrize("d", [2, 8, 32, 64])
+def test_psd_gate_on_both_sides_of_its_threshold(d):
+    # the Cholesky of rho + PSD_TOL I accepts lambda_min = -0.9 PSD_TOL and
+    # rejects -1.1 PSD_TOL, whose message still gives eigvalsh's lambda_min;
+    # a Cholesky of rho alone would reject both
+    validate_density(_state_with_lambda_min(d, -0.9 * cebound.linalg.PSD_TOL, d))
+    rho = _state_with_lambda_min(d, -1.1 * cebound.linalg.PSD_TOL, d)
+    with pytest.raises(ValidationError, match=r"not positive semidefinite: lambda_min = -1\.100e-12$"):
+        validate_density(rho)
 
 
 def test_validate_hermitian_rejects_non_finite():
@@ -626,6 +656,39 @@ def test_state_json_rejects_malformed_file(tmp_path, text):
     path.write_bytes(text if isinstance(text, bytes) else text.encode())
     with pytest.raises(ValidationError):
         read_state_json(path)
+
+
+@pytest.mark.parametrize("text", [
+    None,
+    '{"dim_p": 1, "dim_q": 1, "matrix": ',
+    '{"dim_p": 2, "dim_q": 1, "matrix": [[[1, 0]]]}',
+], ids=["good", "not-json", "wrong-shape"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_state_read_leaves_the_collector_as_it_found_it(tmp_path, text, enabled):
+    # the read pauses the cyclic GC over the parse, so the 32+32 file's 4,160
+    # lists set off no collection, and turns it back on only if it was on
+    path = tmp_path / "state.json"
+    if text is None:
+        write_state_json(path, random_block_state(32, 32, 3, "boundary", a0=0.6 / 32, eps_q=0.2 / 32))
+    else:
+        path.write_text(text)
+    collections = []
+    on_gc = lambda phase, info: collections.append(info["generation"]) if phase == "start" else None
+    was_enabled = gc.isenabled()
+    gc.collect()
+    (gc.enable if enabled else gc.disable)()
+    gc.callbacks.append(on_gc)
+    try:
+        if text is None:
+            read_state_json(path)
+        else:
+            with pytest.raises(ValidationError):
+                read_state_json(path)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.callbacks.remove(on_gc)
+        (gc.enable if was_enabled else gc.disable)()
+    assert collections == []
 
 
 # ------------------------------------------------------ property tests
