@@ -17,27 +17,17 @@ from .errors import DomainError, PositivityError, ValidationError, _fail_first
 from .linalg import POSITIVITY_FLOOR, PSD_TOL, BlockState, _validated_blocks
 from .linalg import _validated_spectra, pinch, validate_hermitian
 
-_SERIES_THRESHOLD = 1e-8
-
-
 def _log_mean(x, y) -> np.ndarray:
-    """Elementwise L(x, y) = log(x/y)/(x - y) for positive arrays, broadcast.
-
-    Near x = y the direct quotient cancels; there we use the even series
-    L = (2/(x+y)) (1 + z^2/3 + z^4/5 + z^6/7) with z = (x-y)/(x+y).  Above
-    the threshold, log1p((hi-lo)/lo) keeps the logarithm accurate to a few ulp
+    """Elementwise L(x, y) = log(x/y)/(x - y) for positive arrays, broadcast;
+    L(x, x) = 1/x.  One formula at every gap: near x = y, hi - lo is exact, so
+    log1p((hi-lo)/lo) has nothing to cancel and stays accurate to a few ulp,
     where log(hi/lo) would lose digits to the rounding of hi/lo.
     """
     hi = np.maximum(x, y)  # exact symmetry in (x, y)
     lo = np.minimum(x, y)
-    s = hi + lo
     diff = hi - lo
-    series = diff <= _SERIES_THRESHOLD * s
-    z2 = (diff / s) ** 2
-    near = (2.0 / s) * (1.0 + z2 / 3.0 + z2**2 / 5.0 + z2**3 / 7.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        direct = np.log1p(diff / lo) / diff
-    return np.where(series, near, direct)
+        return np.where(diff > 0.0, np.log1p(diff / lo) / diff, 1.0 / lo)
 
 
 def log_mean_kernel(a: float, c: float) -> float:
@@ -50,7 +40,7 @@ def log_mean_kernel(a: float, c: float) -> float:
 def _kernel(lam: np.ndarray, mu: np.ndarray, tag: str = "bkm") -> np.ndarray:
     """K(lam_i, mu_j) for a named Petz metric, over the trailing axis of each.
 
-    ``"bkm"`` is the series-stable reciprocal logarithmic mean; every other tag
+    ``"bkm"`` is the reciprocal logarithmic mean (``_log_mean``); every other tag
     is 1/(mu_j f(lam_i/mu_j)).  Leading axes of ``lam`` and ``mu`` broadcast.
     The public callers check the tag (``_check_tags``).
     """
@@ -154,15 +144,13 @@ def _check_tags(tags) -> None:
 
 
 def petz_form(n, y, tag: str) -> float:
-    """Petz monotone metric g^f_N(Y, Y) = sum_{ij} |Y~_{ij}|^2 / (nu_j f(nu_i/nu_j))."""
+    """Petz monotone metric g^f_N(Y, Y) = sum_{ij} |Y~_{ij}|^2 / (nu_j f(nu_i/nu_j)):
+    the one-member case (t = 0, M = N) of ``_petz_forms``."""
     _check_tags((tag,))
     n, y = validate_hermitian(n, "N"), validate_hermitian(y, "Y")
     if y.shape != n.shape:
         raise ValidationError(f"Y must have the shape of N, {n.shape}, got {y.shape}")
-    wn, vn = np.linalg.eigh(n)
-    message = "N must be positive definite, lambda_min = {:.3e}"
-    _fail_first(wn[0] <= POSITIVITY_FLOOR, PositivityError, message, wn[0])
-    return float(_form(np.abs(_rotate(vn, y, vn)) ** 2, wn, wn, tag))
+    return float(_petz_forms(n, y, (0.0,), (tag,))[tag][0])
 
 
 def midpoint_margins(state: BlockState, t_grid, tags) -> dict:
@@ -183,23 +171,29 @@ def midpoint_margins(state: BlockState, t_grid, tags) -> dict:
     if not np.all((t_grid >= 0.0) & (t_grid < 1.0)):  # NaN fails too
         raise DomainError("every t must lie in [0, 1)")
     _check_midpoint(np.linalg.eigvalsh(m + y)[0])
-    return _midpoint_margins(m, y, t_grid, tags)
+    forms = _petz_forms(m, y, np.concatenate(([0.0], t_grid)), tags)
+    return {tag: g[1:] - g[0] for tag, g in forms.items()}
 
 
-def _midpoint_margins(m, y, shifts, tags) -> dict:
-    """{tag: g^f_{M+tY}(Y,Y) - g^f_M(Y,Y) over t in ``shifts``} from one stacked
-    eigh of M and each M + tY, every member (M too) gated by POSITIVITY_FLOOR.
-    Over leading stack axes of M and Y, each margin array gains the t axis
-    last.  The caller checks the domain of t."""
-    shifts = np.concatenate(([0.0], shifts))
+def _path(m, y, shifts) -> tuple:
+    """((w, v), Y): the eigenpairs of each M + sY over ``shifts`` from one
+    stacked eigh, and Y with the s axis added.  Over any leading stack axes of
+    M and Y, the s axis follows them.  The only code that diagonalises the
+    affine path."""
     y = y[..., None, :, :]
-    w, v = np.linalg.eigh(m[..., None, :, :] + shifts[:, None, None] * y)
+    return np.linalg.eigh(m[..., None, :, :] + np.asarray(shifts)[:, None, None] * y), y
+
+
+def _petz_forms(m, y, shifts, tags) -> dict:
+    """{tag: g^f_{M+tY}(Y, Y) over t in ``shifts``} from ``_path``, every member
+    gated by POSITIVITY_FLOOR.  Over leading stack axes of M and Y, each form
+    array gains the t axis last.  The caller checks the domain of t."""
+    (w, v), y = _path(m, y, shifts)
     low = w[..., 0]
     message = "M + tY must be positive definite at t = {}, lambda_min = {:.3e}"
     _fail_first(low <= POSITIVITY_FLOOR, PositivityError, message, shifts, low)
     sq = np.abs(_rotate(v, y, v)) ** 2
-    forms = {tag: _form(sq, w, w, tag) for tag in tags}
-    return {tag: g[..., 1:] - g[..., :1] for tag, g in forms.items()}
+    return {tag: _form(sq, w, w, tag) for tag in tags}
 
 
 def midpoint_margin(state: BlockState, t_grid) -> np.ndarray:

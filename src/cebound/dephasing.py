@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bkm import _check_midpoint
+from .bkm import _check_midpoint, _path
 from .bounds import _log_bound, _operator_bound, _optional
 from .errors import DomainError, _fail_first
 from .linalg import BlockState, _trace_log, _validated_spectra, _xlogx_sum, pinch
@@ -51,6 +51,8 @@ class OrbitConfig:
         finite = 0.0 < 2.0 * self.gamma < math.inf and 0.0 < self.t_max < math.inf
         if not finite or self.steps < 2:
             raise DomainError("need gamma > 0 with 2*gamma finite, finite t_max > 0, steps >= 2")
+        if not self.steps * self.t_max < math.inf:  # the grid's last k t_max, k = steps
+            raise DomainError(f"steps * t_max must be finite, got {self.steps} * {self.t_max}")
         state = self.state
         sp = _validated_spectra(state.a, state.c, state.b)[0]
         m, y = pinch(state), state.off_diagonal()
@@ -69,25 +71,24 @@ class OrbitConfig:
 
 def orbit_state(cfg: OrbitConfig, t: float) -> np.ndarray:
     """rho_t = M + e^{-Gamma t} Y, exactly."""
-    if t < 0.0:
-        raise DomainError(f"t must be nonnegative, got {t}")
+    _fail_first(not t >= 0.0, DomainError, "t must be nonnegative, got {}", t)
     return cfg.m + math.exp(-cfg.gamma * t) * cfg.y
 
 
 def _orbit_terms(m, y, gamma: float, times) -> tuple:
     """(Tr[rho_t log rho_t], -dD/dt, the eigenvalues of rho_t) at each t >= 0 of
-    ``times``, over any leading stack axes of M and Y, from one stacked eigh of
-    rho_t = M + alpha Y; the t axis follows the stack axes.
+    ``times``, over any leading stack axes of M and Y, from the eigenpairs of
+    rho_t = M + alpha Y (``_path``); the t axis follows the stack axes.
 
     -dD/dt = Gamma alpha Tr[Y log rho_t] with alpha = e^{-Gamma t}: the term
     -Tr[Y log M] of the derivative vanishes, since log M is block diagonal.  On
     ker rho_t, <v, Y v> = -<v, M v> < 0, so the rate at a singular rho_t (a pure
     or boundary state at t = 0) is +inf.
     """
-    _fail_first(np.less(times, 0.0), DomainError, "t must be nonnegative, got {}", times)
+    message = "t must be nonnegative, got {}"
+    _fail_first(~np.greater_equal(times, 0.0), DomainError, message, times)  # NaN fails too
     alphas = np.array([math.exp(-gamma * t) for t in times])
-    y = y[..., None, :, :]
-    w, v = np.linalg.eigh(m[..., None, :, :] + alphas[:, None, None] * y)
+    (w, v), y = _path(m, y, alphas)
     return _xlogx_sum(w), gamma * alphas * _trace_log(y, w, v), w
 
 
@@ -105,7 +106,7 @@ class ProductionPoint(NamedTuple):
 
 def _decay(gamma: float, t: float) -> float:
     """The bound prefactor 2 Gamma e^{-2 Gamma t}, for t >= 0."""
-    _fail_first(t < 0.0, DomainError, "t must be nonnegative, got {}", t)
+    _fail_first(not t >= 0.0, DomainError, "t must be nonnegative, got {}", t)
     return 2.0 * gamma * math.exp(-2.0 * gamma * t)
 
 

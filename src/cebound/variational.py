@@ -405,20 +405,21 @@ def _pipeline(state: BlockState, a0, svd) -> tuple:
 def modulus_curve(a_star: float, tau: float, eps_grid) -> list:
     """Rows (eps_q, Phi(a_star, eps_q, tau a_star eps_q), Phi per unit coherence).
 
-    The coherence c = tau a_star eps_q must be positive, so a_star and every
-    eps_q must be: at c = 0 the per-coherence column would be 0/0.
+    a_star and every eps_q are diagonal entries of a density matrix, in (0, 1].
+    The coherence c = tau a_star eps_q must be positive: at c = 0 the
+    per-coherence column would be 0/0.
     """
     if not 0.0 < tau <= 1.0:
         raise DomainError(f"tau must lie in (0, 1], got {tau}")
-    if not a_star > 0.0:
-        raise DomainError(f"a_star must be positive, got {a_star}")
+    if not 0.0 < a_star <= 1.0:
+        raise DomainError(f"a_star must lie in (0, 1], got {a_star}")
     rows = []
     for eps_q in eps_grid:
         eps_q = float(eps_q)
         c = tau * a_star * eps_q
-        if not (eps_q > 0.0 and c > 0.0):
+        if not (0.0 < eps_q <= 1.0 and c > 0.0):
             raise DomainError(
-                f"eps_q must be positive with tau*a_star*eps_q > 0, got eps_q = {eps_q}"
+                f"eps_q must lie in (0, 1] with tau*a_star*eps_q > 0, got eps_q = {eps_q}"
             )
         val = phi(a_star, eps_q, c)
         rows.append((eps_q, val, val / c))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bkm import PETZ_FUNCTIONS, _check_midpoint, _midpoint_margins
+from .bkm import PETZ_FUNCTIONS, _check_midpoint, _petz_forms
 from .bounds import _bounds
 from .dephasing import _orbit_terms, _production
 from .errors import CeboundError, DomainError
@@ -61,7 +61,7 @@ def _stack_margins(state: BlockState, sigma: BlockState) -> dict:
     eigh each, repeated for the trial's adjacent members of ``state``.  One
     eigh each of A and C and one SVD of B serve every bound, the M +- Y check,
     the Pythagorean terms and the SVD pinching and merge, polygon phases
-    included; one stacked eigh of rho_t serves the three dephasing rates and,
+    included; one ``_path`` of rho_t serves the three dephasing rates and,
     at t = 0, the spectrum of rho.
     """
     sp = _block_spectra(state.a, state.c)
@@ -75,9 +75,9 @@ def _stack_margins(state: BlockState, sigma: BlockState) -> dict:
     bounds, _ = _bounds(state, sp, rho, w_rho, svd[1])
     margins = bounds.margins()
 
-    mids = _midpoint_margins(m, y, MIDPOINT_GRID, tuple(PETZ_FUNCTIONS))
-    margins["midpoint"] = np.min(mids["bkm"], axis=-1)
-    margins.update({f"petz_{tag}": np.min(v, axis=-1) for tag, v in mids.items()})
+    forms = _petz_forms(m, y, (0.0, *MIDPOINT_GRID), tuple(PETZ_FUNCTIONS))
+    mids = {tag: np.min(g[:, 1:] - g[:, :1], axis=-1) for tag, g in forms.items()}
+    margins.update({f"petz_{tag}": v for tag, v in mids.items()}, midpoint=mids["bkm"])
 
     margins["dephasing"] = np.min(
         [_production(1.0, t, rate, bounds.bkm).margin

@@ -88,8 +88,9 @@ def test_kernel_logarithmic_mean_between_min_and_arithmetic(a, c):
     assert mean <= (a + c) / 2.0 + 1e-12 * (1 + mean)
 
 
-def test_kernel_series_branch_continuity():
-    # straddle the |a-c| <= 1e-8 (a+c) switch point; both sides must agree
+def test_kernel_near_equal_arguments_match_log1p_reference():
+    # one log1p formula at every gap, with no switch: near a = c the gap a - c
+    # is exact, so nothing cancels
     a = 1.0
     for delta in (1e-9, 1e-8, 3e-8, 1e-7):
         exact = -math.log1p(-delta / a) / delta  # cancellation-free reference
@@ -97,16 +98,25 @@ def test_kernel_series_branch_continuity():
 
 
 def test_kernel_matches_mpmath_across_relative_gaps():
+    # gaps of 1 to 7 ulps and relative gaps from 1e-15 up, where a series once
+    # stood in for log1p, as well as 1e-12 to 1e-1.  With log(a/c) in place of
+    # log1p the error at a 1-ulp gap is about 0.6 relative
     from mpmath import log as mplog, mpf, workdps
 
     worst = 0.0
+    gaps = np.concatenate((np.logspace(-15, -13, 9), np.logspace(-12, -1, 45)))
     with workdps(50):
-        for base in (1e-6, 3e-3, 0.2, 1.0, 7.5e2):
-            for gap in np.logspace(-12, -1, 45):
-                for a, c in ((base, base * (1.0 - gap)), (base * (1.0 + gap), base)):
-                    exact = mplog(mpf(a) / mpf(c)) / (mpf(a) - mpf(c))
-                    rel = abs((log_mean_kernel(a, c) - exact) / exact)
-                    worst = max(worst, float(rel))
+        for base in (1e-12, 1e-6, 3e-3, 0.2, 1.0, 7.5e2):
+            ulp = np.spacing(base)
+            pairs = [(base, base * (1.0 - gap)) for gap in gaps]
+            pairs += [(base * (1.0 + gap), base) for gap in gaps]
+            pairs += [(base + k * ulp, base) for k in (1, 2, 3, 7)]
+            pairs += [(base, base - k * ulp) for k in (1, 2, 3, 7)]
+            for a, c in pairs:
+                assert a != c
+                exact = mplog(mpf(a) / mpf(c)) / (mpf(a) - mpf(c))
+                rel = abs((log_mean_kernel(a, c) - exact) / exact)
+                worst = max(worst, float(rel))
     assert worst <= 1e-14
 
 
@@ -338,6 +348,28 @@ def test_petz_arithmetic_closed_form():
     y = np.array([[0.0, 0.2], [0.2, 0.0]], dtype=complex)
     expected = 2.0 * 0.2**2 * 2.0 / (0.3 + 0.7)
     assert petz_form(n, y, "arithmetic") == pytest.approx(expected, abs=1e-14)
+
+
+@pytest.mark.parametrize(
+    "evaluate", [lambda n, y: petz_form(n, y, "geometric"), bkm_hessian],
+    ids=["petz_form", "bkm_hessian"],
+)
+def test_singular_base_point_raises_positivity_error(evaluate):
+    n = np.diag([1.0, 0.0])
+    y = np.array([[0.0, 0.5], [0.5, 0.0]])
+    with pytest.raises(PositivityError, match=r"at t = 0\.0, lambda_min = 0\.000e\+00$"):
+        evaluate(n, y)
+
+
+def test_nan_base_point_fails_before_any_lapack_call(lapack_calls):
+    n = np.eye(2)
+    n[1, 1] = np.nan
+    lapack_calls.clear()
+    with pytest.raises(ValidationError, match="N has non-finite entries"):
+        petz_form(n, np.zeros((2, 2)), "bkm")
+    with pytest.raises(ValidationError, match="N has non-finite entries"):
+        bkm_hessian(n, np.zeros((2, 2)))
+    assert sum(lapack_calls.values()) == 0
 
 
 def test_petz_unknown_tag():

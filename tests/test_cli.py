@@ -687,6 +687,21 @@ def test_orbit_needs_a_finite_bound_prefactor(capsys, tmp_path, gamma, code):
     assert all(math.isfinite(float(row[k])) for row in rows for k in (3, 4))
 
 
+@pytest.mark.parametrize("t_max, code", [("1e308", 2), ("8.9e307", 0)])
+def test_orbit_needs_a_finite_time_grid(capsys, tmp_path, t_max, code):
+    # t_k = k t_max / steps overflowed: at 1e308 the last row read t = inf, exit 0
+    state = pathlib.Path(__file__).parent / "golden" / "boundary_3_2.json"
+    out_path = tmp_path / "orbit.csv"
+    flags = ("--gamma", "1", "--t-max", t_max, "--steps", "2", "--out", str(out_path))
+    got, out, err = run(capsys, "orbit", str(state), *flags)
+    assert got == code
+    if code:
+        assert (out, err) == ("", "error: steps * t_max must be finite, got 2 * 1e+308\n")
+        assert not out_path.exists()
+        return
+    assert out_path.read_text().splitlines()[-1].startswith("8.9000000000000001e+307,")
+
+
 def test_orbit_deterministic(capsys, two_level_file, tmp_path):
     args = (
         "orbit", two_level_file,
@@ -809,11 +824,20 @@ def test_modulus_bad_tau_exits_two_before_output(capsys, tau):
 
 @pytest.mark.parametrize(
     "a_star, eps, word",
-    [("0", "1e-2,1e-4", "a_star"), ("0.9", "0,0.01", "eps_q")],
-    ids=["a-star-zero", "eps-zero"],
+    [
+        ("0", "1e-2,1e-4", "a_star"),
+        ("0.9", "0,0.01", "eps_q"),
+        ("1e154", "1", "a_star"),
+        ("1e308", "1e308", "a_star"),
+        ("0.9", "0.01,1.5", "eps_q"),
+    ],
+    ids=["a-star-zero", "eps-zero", "a-star-1e154", "both-1e308", "eps-above-one"],
 )
 def test_modulus_zero_coherence_exits_two_before_output(capsys, a_star, eps, word):
-    # c = tau a_star eps_q = 0 made the per-coherence column a silent nan
+    # c = tau a_star eps_q = 0 made the per-coherence column a silent nan.
+    # a_star and eps_q are diagonal entries of a density matrix, so each lies
+    # in (0, 1]: a_star = 1e154 printed the row 1,0,0 (Phi is about 356), and
+    # 1e308 printed nan with a RuntimeWarning, both with exit 0
     code, out, err = run(
         capsys, "modulus", "--a-star", a_star, "--tau", "0.5", "--eps", eps
     )

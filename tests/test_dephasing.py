@@ -62,9 +62,11 @@ def test_orbit_off_diagonal_decays_exactly():
 
 
 def test_orbit_rejects_negative_time():
+    # nan passed a t < 0 test and gave a nan matrix
     cfg = OrbitConfig(state=random_block_state(2, 2, 64), gamma=1.0, t_max=1.0, steps=2)
-    with pytest.raises(DomainError):
-        orbit_state(cfg, -0.1)
+    for t in (-0.1, math.nan):
+        with pytest.raises(DomainError, match=f"t must be nonnegative, got {t}$"):
+            orbit_state(cfg, t)
 
 
 @pytest.mark.parametrize(
@@ -72,12 +74,15 @@ def test_orbit_rejects_negative_time():
 )
 def test_orbit_values_reject_negative_time(evaluate):
     # the orbit is defined for t >= 0 only; these once returned inf, 0.144 and
-    # 0.307 at t = -0.5 on this state, which has a log bound
+    # 0.307 at t = -0.5 on this state, which has a log bound.  At t = nan,
+    # entropy_production raised numpy's LinAlgError and log_enhanced_bound
+    # returned nan
     state = read_state_json(Path(__file__).parent / "golden" / "boundary_3_2.json")
     cfg = OrbitConfig(state=state, gamma=1.5, t_max=2.0, steps=8)
     assert log_enhanced_bound(cfg, 0.0) is not None
-    with pytest.raises(DomainError, match="t must be nonnegative, got -0.5"):
-        evaluate(cfg, -0.5)
+    for t in (-0.5, math.nan):
+        with pytest.raises(DomainError, match=f"t must be nonnegative, got {t}$"):
+            evaluate(cfg, t)
 
 
 def test_orbit_config_validation():
@@ -92,6 +97,7 @@ def test_orbit_config_validation():
 
 @pytest.mark.parametrize("gamma, t_max", [
     (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf),
+    (1.0, 1e308),  # steps * t_max, the grid's last k t_max, overflows at steps = 2
 ])
 def test_orbit_config_rejects_non_finite(gamma, t_max):
     s = random_block_state(2, 2, 65)
