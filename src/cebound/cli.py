@@ -53,7 +53,10 @@ def _finite_float(text: str) -> float:
 
 
 def _parse_float_list(text: str) -> list:
-    return [_finite_float(tok) for tok in text.split(",") if tok]
+    values = [_finite_float(tok) for tok in text.split(",") if tok]
+    if not values:
+        raise argparse.ArgumentTypeError(f"no numbers in {text!r}")
+    return values
 
 
 def _cmd_verify(args) -> int:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -51,7 +52,8 @@ class OrbitConfig:
         finite = 0.0 < 2.0 * self.gamma < math.inf and 0.0 < self.t_max < math.inf
         if not finite or self.steps < 2:
             raise DomainError("need gamma > 0 with 2*gamma finite, finite t_max > 0, steps >= 2")
-        if not self.steps * self.t_max < math.inf:  # the grid's last k t_max, k = steps
+        # the grid's last k t_max, k = steps; an int past the float range is never converted
+        if not (self.steps <= sys.float_info.max and self.steps * self.t_max < math.inf):
             raise DomainError(f"steps * t_max must be finite, got {self.steps} * {self.t_max}")
         state = self.state
         sp = _validated_spectra(state.a, state.c, state.b)[0]
@@ -92,38 +94,10 @@ def _orbit_terms(m, y, gamma: float, times) -> tuple:
     return _xlogx_sum(w), gamma * alphas * _trace_log(y, w, v), w
 
 
-def analytic_rate(cfg: OrbitConfig, t: float) -> float:
-    """-dD/dt = Gamma alpha Tr[Y log(M + alpha Y)], alpha = e^{-Gamma t}; +inf
-    at a singular rho_t (see ``_orbit_terms``)."""
-    return float(_orbit_terms(cfg.m, cfg.y, cfg.gamma, (t,))[1][0])
-
-
-class ProductionPoint(NamedTuple):
-    rate: float
-    bound: float
-    margin: float
-
-
 def _decay(gamma: float, t: float) -> float:
     """The bound prefactor 2 Gamma e^{-2 Gamma t}, for t >= 0."""
     _fail_first(not t >= 0.0, DomainError, "t must be nonnegative, got {}", t)
     return 2.0 * gamma * math.exp(-2.0 * gamma * t)
-
-
-def entropy_production(cfg: OrbitConfig, t: float) -> ProductionPoint:
-    """Entropy production rate at time t versus its BKM lower bound.
-
-    The rate is the analytic trace-formula value; the tests check it against a
-    finite-difference estimate (``tests/oracles.py``).  The bound is
-    2 Gamma e^{-2 Gamma t} Tr[B* Omega^{-1}(B)].
-    """
-    return _production(cfg.gamma, t, analytic_rate(cfg, t), cfg.bkm)
-
-
-def _production(gamma: float, t: float, rate, bkm) -> ProductionPoint:
-    """The rate against its bound at time t; ``rate`` and ``bkm`` may be stacked."""
-    bound = _decay(gamma, t) * bkm
-    return ProductionPoint(rate=rate, bound=bound, margin=rate - bound)
 
 
 def log_enhanced_bound(cfg: OrbitConfig, t: float) -> float | None:
@@ -137,9 +111,25 @@ class OrbitRow(NamedTuple):
     t: float
     entropy: float
     rate: float
-    bkm_bound: float
+    bound: float
     log_bound: float | None
     margin: float
+
+
+def _row(cfg: OrbitConfig, t: float, terms) -> OrbitRow:
+    """The orbit's row at time t from one ``_orbit_terms`` result at (t,)."""
+    tr_log, rate, _ = terms
+    rate, bound = float(rate[0]), _decay(cfg.gamma, t) * cfg.bkm
+    entropy = float(tr_log[0]) - cfg.tr_m_log_m
+    return OrbitRow(t, entropy, rate, bound, log_enhanced_bound(cfg, t), rate - bound)
+
+
+def entropy_production(cfg: OrbitConfig, t: float) -> OrbitRow:
+    """The orbit's row at time t: the rate -dD/dt = Gamma alpha Tr[Y log rho_t]
+    (+inf at a singular rho_t, see ``_orbit_terms``) against its BKM lower bound
+    2 Gamma e^{-2 Gamma t} Tr[B* Omega^{-1}(B)]; ``tests/oracles.py`` checks the
+    rate against a finite difference."""
+    return _row(cfg, t, _orbit_terms(cfg.m, cfg.y, cfg.gamma, (t,)))
 
 
 def _usable_cpus() -> int:
@@ -186,26 +176,14 @@ def _threaded_map(fn, items) -> list:
 def orbit_trace(cfg: OrbitConfig) -> list:
     """Tabulate the orbit on the uniform grid t_k = k t_max / steps.
 
-    One eigendecomposition of rho_t gives both the row's entropy and its rate.
+    Row k is ``entropy_production`` at t_k; row 0 reuses ``cfg.start``.  One
+    eigendecomposition of rho_t gives both the row's entropy and its rate.
     Rows 1..steps are spread over the usable CPUs (``_threaded_map``), one row
     at a time per thread: a stack of every rho_t would hold steps + 1 matrices.
     """
     times = [k * cfg.t_max / cfg.steps for k in range(cfg.steps + 1)]
-    later = _threaded_map(lambda t: _orbit_terms(cfg.m, cfg.y, cfg.gamma, (t,)), times[1:])
-    rows = []
-    for t, (tr_log, rate, _) in zip(times, [cfg.start, *later]):
-        point = _production(cfg.gamma, t, float(rate[0]), cfg.bkm)
-        rows.append(
-            OrbitRow(
-                t=t,
-                entropy=float(tr_log[0]) - cfg.tr_m_log_m,
-                rate=point.rate,
-                bkm_bound=point.bound,
-                log_bound=log_enhanced_bound(cfg, t),
-                margin=point.margin,
-            )
-        )
-    return rows
+    later = _threaded_map(lambda t: entropy_production(cfg, t), times[1:])
+    return [_row(cfg, 0.0, cfg.start), *later]
 
 
 def write_orbit_csv(path, rows) -> None:
@@ -216,5 +194,5 @@ def write_orbit_csv(path, rows) -> None:
             log_col = "" if row.log_bound is None else f"{row.log_bound:.17g}"
             fh.write(
                 f"{row.t:.17g},{row.entropy:.17g},{row.rate:.17g},"
-                f"{row.bkm_bound:.17g},{log_col},{row.margin:.17g}\n"
+                f"{row.bound:.17g},{log_col},{row.margin:.17g}\n"
             )

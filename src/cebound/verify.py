@@ -13,7 +13,7 @@ import numpy as np
 
 from .bkm import PETZ_FUNCTIONS, _check_midpoint, _petz_forms
 from .bounds import _bounds
-from .dephasing import _orbit_terms, _production
+from .dephasing import _decay, _orbit_terms
 from .errors import CeboundError, DomainError
 from .linalg import (
     BlockState,
@@ -80,8 +80,7 @@ def _stack_margins(state: BlockState, sigma: BlockState) -> dict:
     margins.update({f"petz_{tag}": v for tag, v in mids.items()}, midpoint=mids["bkm"])
 
     margins["dephasing"] = np.min(
-        [_production(1.0, t, rate, bounds.bkm).margin
-         for t, rate in zip(DEPHASING_TIMES, rates.T)],
+        [rate - _decay(1.0, t) * bounds.bkm for t, rate in zip(DEPHASING_TIMES, rates.T)],
         axis=0,
     )
 

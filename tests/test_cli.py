@@ -550,8 +550,12 @@ def test_bad_dims_exits_two(capsys):
         (["verify", "--dims", "3..2"], "invalid dims range '3..2'"),
         (["verify", "--tol", "tiny"], "not a number: 'tiny'"),
         (["sharpness", "--q", "1e-2,abc"], "not a number: 'abc'"),
+        # an empty list once printed only the CSV header, with exit 0
+        (["sharpness", "--q", ","], "no numbers in ','"),
+        (["modulus", "--a-star", "0.8", "--tau", "0.5", "--eps", ""], "no numbers in ''"),
     ],
-    ids=["empty-dims-range", "verify-tol-word", "sharpness-q-word"],
+    ids=["empty-dims-range", "verify-tol-word", "sharpness-q-word", "sharpness-q-empty",
+         "modulus-eps-empty"],
 )
 def test_malformed_flag_value_exits_two(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -687,16 +691,23 @@ def test_orbit_needs_a_finite_bound_prefactor(capsys, tmp_path, gamma, code):
     assert all(math.isfinite(float(row[k])) for row in rows for k in (3, 4))
 
 
-@pytest.mark.parametrize("t_max, code", [("1e308", 2), ("8.9e307", 0)])
-def test_orbit_needs_a_finite_time_grid(capsys, tmp_path, t_max, code):
-    # t_k = k t_max / steps overflowed: at 1e308 the last row read t = inf, exit 0
+@pytest.mark.parametrize(
+    "t_max, steps, code",
+    [("1e308", 2, 2), ("8.9e307", 2, 0), ("1", 10**400, 2), ("0.5", 10**400, 2)],
+    ids=["1e308-2", "8.9e307-0", "steps-1e400", "steps-1e400-t-max-0.5"],
+)
+def test_orbit_needs_a_finite_time_grid(capsys, tmp_path, t_max, steps, code):
+    # t_k = k t_max / steps overflowed: at 1e308 the last row read t = inf, exit 0;
+    # a steps past the float range raised a bare OverflowError, exit 1, also where
+    # t_max < 1 keeps the exact product finite, since the grid divides by steps
     state = pathlib.Path(__file__).parent / "golden" / "boundary_3_2.json"
     out_path = tmp_path / "orbit.csv"
-    flags = ("--gamma", "1", "--t-max", t_max, "--steps", "2", "--out", str(out_path))
+    flags = ("--gamma", "1", "--t-max", t_max, "--steps", str(steps), "--out", str(out_path))
     got, out, err = run(capsys, "orbit", str(state), *flags)
     assert got == code
     if code:
-        assert (out, err) == ("", "error: steps * t_max must be finite, got 2 * 1e+308\n")
+        message = f"steps * t_max must be finite, got {steps} * {float(t_max)!r}"
+        assert (out, err) == ("", f"error: {message}\n")
         assert not out_path.exists()
         return
     assert out_path.read_text().splitlines()[-1].startswith("8.9000000000000001e+307,")

@@ -24,7 +24,6 @@ from cebound import (
     write_orbit_csv,
 )
 from cebound.bkm import bkm_form, log_mean_kernel
-from cebound.dephasing import analytic_rate
 from cebound.linalg import pinch
 
 from conftest import random_states
@@ -70,7 +69,7 @@ def test_orbit_rejects_negative_time():
 
 
 @pytest.mark.parametrize(
-    "evaluate", [analytic_rate, fd_rate, log_enhanced_bound, entropy_production]
+    "evaluate", [fd_rate, log_enhanced_bound, entropy_production]
 )
 def test_orbit_values_reject_negative_time(evaluate):
     # the orbit is defined for t >= 0 only; these once returned inf, 0.144 and
@@ -148,7 +147,7 @@ def test_analytic_rate_matches_log_difference_formula():
             alpha = math.exp(-cfg.gamma * t)
             diff = logm(m + alpha * y) - logm(m)
             expected = cfg.gamma * alpha * float(np.trace(y @ diff).real)
-            got = analytic_rate(cfg, t)
+            got = entropy_production(cfg, t).rate
             assert got == pytest.approx(expected, rel=1e-10, abs=1e-14)
 
 
@@ -156,7 +155,7 @@ def test_analytic_rate_matches_fd():
     for s in random_states(10, (2, 3), 110):
         cfg = OrbitConfig(state=s, gamma=1.3, t_max=2.0, steps=2)
         for t in (0.0, 0.5, 1.7):
-            an = analytic_rate(cfg, t)
+            an = entropy_production(cfg, t).rate
             fd = fd_rate(cfg, t)
             assert abs(an - fd) <= 1e-6 * (1.0 + abs(an))
 
@@ -221,6 +220,19 @@ def test_orbit_trace_entropy_matches_coherence_entropy(ensemble):
             assert abs(row.entropy - coherence_entropy(scaled)) <= 1e-14
 
 
+@pytest.mark.parametrize("ensemble", ["ginibre", "boundary"])
+def test_orbit_rows_are_entropy_production_at_each_grid_time(ensemble):
+    # one row evaluator: every row, row 0 from cfg.start included, is the
+    # record entropy_production returns at that time, field for field
+    kwargs = {"a0": 0.2, "eps_q": 0.2 / 3} if ensemble == "boundary" else {}
+    s = random_block_state(3, 2, 3, ensemble, **kwargs)
+    cfg = OrbitConfig(state=s, gamma=1.5, t_max=2.0, steps=8)
+    rows = orbit_trace(cfg)
+    assert (rows[0].rate == math.inf) == (ensemble == "boundary")
+    for k, row in enumerate(rows):
+        assert row == entropy_production(cfg, k * cfg.t_max / cfg.steps), k
+
+
 def test_orbit_trace_monotone_decreasing():
     s = mixed_two_level()
     cfg = OrbitConfig(state=s, gamma=1.0, t_max=5.0, steps=100)
@@ -268,7 +280,7 @@ def test_rounding_sign_at_the_psd_edge_moves_nothing():
     base = two_level_pure(0.25)
     states = [BlockState(1, 1, base.a, f * base.b, base.c) for f in (1 + 1e-15, 1 - 1e-15)]
     assert [np.sign(np.linalg.eigvalsh(s.to_matrix())[0]) for s in states] == [-1, 1]
-    rates = [analytic_rate(OrbitConfig(s, 1.0, 1.0, 2), 0.0) for s in states]
+    rates = [entropy_production(OrbitConfig(s, 1.0, 1.0, 2), 0.0).rate for s in states]
     assert rates == [math.inf, math.inf]
     for fn in (fidelity_bound, coherence_entropy):
         plus, minus = (fn(s) for s in states)
@@ -316,7 +328,7 @@ def test_rate_near_the_edge_follows_mpmath(gamma):
         for k in range(2, 9):
             t = 10.0**-k
             exact.append(float(_mp_rate(s, gamma, t)))
-            rel = abs(analytic_rate(cfg, t) - exact[-1]) / exact[-1]
+            rel = abs(entropy_production(cfg, t).rate - exact[-1]) / exact[-1]
             assert rel <= np.finfo(float).eps / t, (k, rel)
     # the exact rate grows like log(1/t): equal steps per decade from k = 4 on
     steps = np.diff(exact)[2:]
