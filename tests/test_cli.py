@@ -692,24 +692,30 @@ def test_orbit_needs_a_finite_bound_prefactor(capsys, tmp_path, gamma, code):
 
 
 @pytest.mark.parametrize(
-    "t_max, steps, code",
-    [("1e308", 2, 2), ("8.9e307", 2, 0), ("1", 10**400, 2), ("0.5", 10**400, 2)],
-    ids=["1e308-2", "8.9e307-0", "steps-1e400", "steps-1e400-t-max-0.5"],
+    "t_max, steps, message",
+    [
+        ("1e308", 2, "steps * t_max must be finite, got 2 * 1e+308"),
+        ("8.9e307", 2, None),
+        ("1", 10**400, f"steps * t_max must be finite, got {10**400} * 1.0"),
+        ("0.5", 10**400, f"steps * t_max must be finite, got {10**400} * 0.5"),
+        ("5e-324", 2, "t_max / steps must be normal, got 5e-324 / 2"),
+    ],
+    ids=["1e308-2", "8.9e307-0", "steps-1e400", "steps-1e400-t-max-0.5", "step-below-float-min"],
 )
-def test_orbit_needs_a_finite_time_grid(capsys, tmp_path, t_max, steps, code):
+def test_orbit_needs_a_finite_time_grid(capsys, tmp_path, t_max, steps, message):
     # t_k = k t_max / steps overflowed: at 1e308 the last row read t = inf, exit 0;
     # a steps past the float range raised a bare OverflowError, exit 1, also where
-    # t_max < 1 keeps the exact product finite, since the grid divides by steps
+    # t_max < 1 keeps the exact product finite, since the grid divides by steps;
+    # a step below the smallest normal float wrote two rows at t = 0, exit 0
     state = pathlib.Path(__file__).parent / "golden" / "boundary_3_2.json"
     out_path = tmp_path / "orbit.csv"
     flags = ("--gamma", "1", "--t-max", t_max, "--steps", str(steps), "--out", str(out_path))
     got, out, err = run(capsys, "orbit", str(state), *flags)
-    assert got == code
-    if code:
-        message = f"steps * t_max must be finite, got {steps} * {float(t_max)!r}"
-        assert (out, err) == ("", f"error: {message}\n")
+    if message:
+        assert (got, out, err) == (2, "", f"error: {message}\n")
         assert not out_path.exists()
         return
+    assert got == 0
     assert out_path.read_text().splitlines()[-1].startswith("8.9000000000000001e+307,")
 
 
