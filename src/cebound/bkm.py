@@ -1,10 +1,10 @@
 """The BKM (Bogoliubov-Kubo-Mori) kernel and quadratic form.
 
 The kernel of the form is the reciprocal logarithmic mean
-L(a, c) = log(a/c)/(a - c).  The quadratic form is evaluated spectrally; the
-tests check it against a quadrature of the resolvent integral
-(``tests/oracles.py``).  The module also provides the Petz monotone metrics
-for four named operator-monotone functions.
+L(a, c) = log(a/c)/(a - c).  The quadratic form is evaluated spectrally over
+the supports of A, C >= 0 (``_supported``); the tests check it against a
+quadrature of the resolvent integral (``tests/oracles.py``).  The module also
+provides the Petz monotone metrics for four named operator-monotone functions.
 """
 
 from __future__ import annotations
@@ -14,26 +14,29 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, PositivityError, ValidationError, _fail_first
-from .linalg import POSITIVITY_FLOOR, PSD_TOL, BlockState, _validated_blocks
-from .linalg import _validated_spectra, pinch, validate_hermitian
+from .linalg import POSITIVITY_FLOOR, PSD_TOL, SUPPORT_MASS_TOL, BlockState, _support
+from .linalg import _validated_blocks, _validated_spectra, pinch, validate_hermitian
 
 def _log_mean(x, y) -> np.ndarray:
     """Elementwise L(x, y) = log(x/y)/(x - y) for positive arrays, broadcast;
     L(x, x) = 1/x.  One formula at every gap: near x = y, hi - lo is exact, so
     log1p((hi-lo)/lo) has nothing to cancel and stays accurate to a few ulp,
-    where log(hi/lo) would lose digits to the rounding of hi/lo.
+    where log(hi/lo) would lose digits to the rounding of hi/lo.  Where
+    (hi-lo)/lo overflows, log hi - log lo takes its place.
     """
     hi = np.maximum(x, y)  # exact symmetry in (x, y)
     lo = np.minimum(x, y)
     diff = hi - lo
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(diff > 0.0, np.log1p(diff / lo) / diff, 1.0 / lo)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = diff / lo
+        log_ratio = np.where(np.isinf(ratio), np.log(hi) - np.log(lo), np.log1p(ratio))
+        return np.where(diff > 0.0, log_ratio / diff, 1.0 / lo)
 
 
 def log_mean_kernel(a: float, c: float) -> float:
-    """L(a, c) = log(a/c)/(a - c), with L(a, a) = 1/a."""
-    if a <= 0.0 or c <= 0.0:
-        raise DomainError(f"log_mean_kernel needs positive arguments, got ({a}, {c})")
+    """L(a, c) = log(a/c)/(a - c), with L(a, a) = 1/a, for finite a, c > 0."""
+    if not (0.0 < a < np.inf and 0.0 < c < np.inf):  # NaN fails too
+        raise DomainError(f"log_mean_kernel needs finite positive arguments, got ({a}, {c})")
     return float(_log_mean(np.float64(a), np.float64(c)))
 
 
@@ -59,30 +62,51 @@ def _rotate(v, x, w) -> np.ndarray:
 def _form(sq, lam, mu, tag: str = "bkm"):
     """sum_ij sq_ij K(lam_i, mu_j) with sq = |V* X W|^2, over any leading stack axes.
 
-    Every quadratic form here has this shape: the BKM form, channel weights,
-    the Hessian and the Petz metrics.
+    The channel weights, the Hessian and the Petz metrics have this shape; the
+    BKM form too, with its kernel over the supports (``_supported``).
     """
     return np.sum(sq * _kernel(lam, mu, tag), axis=(-2, -1))
 
 
-def bkm_apply(a, c, b) -> np.ndarray:
-    """Omega^{-1}(B) = int_0^inf (A + r)^{-1} B (C + r)^{-1} dr, spectrally."""
-    sp, b = _validated_spectra(a, c, b)
-    sp.check_positive()
+def _supported(sp, b) -> tuple:
+    """(B~, K) over any leading stack axes: B~ = V_A* B V_C, and K the BKM kernel
+    L(a_i, c_j) on the support pairs of A and C (``_support``), 0.0 off them.
+
+    A, C >= 0 suffices: a state has B = P_A B P_C, so B~ vanishes off the
+    supports, and the form is the delta -> 0 limit of that of (1-delta) rho +
+    delta I/d.  lambda_min < -PSD_TOL raises PositivityError, and |B~_ij|^2 >
+    SUPPORT_MASS_TOL off the supports, which no state has, DomainError."""
+    for name, w in (("A", sp.wa), ("C", sp.wc)):
+        message = f"{name} must be positive semidefinite, lambda_min = {{:.3e}}"
+        _fail_first(w[..., 0] < -PSD_TOL, PositivityError, message, w[..., 0])
+    ka, kc = _support(sp.wa), _support(sp.wc)
+    kept = ka[..., :, None] & kc[..., None, :]
     bt = _rotate(sp.va, b, sp.vc)
-    return sp.va @ (bt * _kernel(sp.wa, sp.wc)) @ sp.vc.conj().T
+    off = np.where(kept, 0.0, np.abs(bt) ** 2)
+    message = "B has weight |B~_ij|^2 = {:.3e} off the supports of A and C"
+    _fail_first(off > SUPPORT_MASS_TOL, DomainError, message, off)
+    k = _kernel(np.where(ka, sp.wa, 1.0), np.where(kc, sp.wc, 1.0))
+    return bt, np.where(kept, k, 0.0)
+
+
+def bkm_apply(a, c, b) -> np.ndarray:
+    """Omega^{-1}(B) = int_0^inf (A + r)^{-1} B (C + r)^{-1} dr, spectrally, over
+    the supports of A and C."""
+    sp, b = _validated_spectra(a, c, b)
+    bt, k = _supported(sp, b)
+    return sp.va @ (bt * k) @ sp.vc.conj().T
 
 
 def _spectral_bkm_form(sp, b) -> np.ndarray:
     """bkm_form from the block spectra of A and C, over any leading stack axes."""
-    return _form(np.abs(_rotate(sp.va, b, sp.vc)) ** 2, sp.wa, sp.wc)
+    bt, k = _supported(sp, b)
+    return np.sum(np.abs(bt) ** 2 * k, axis=(-2, -1))
 
 
 def bkm_form(a, c, b) -> float:
-    """Tr[B* Omega^{-1}(B)] = sum_{ab} |B~_{ab}|^2 L(a_a, c_b) >= 0."""
-    sp, b = _validated_spectra(a, c, b)
-    sp.check_positive()
-    return float(_spectral_bkm_form(sp, b))
+    """Tr[B* Omega^{-1}(B)] = sum_{ab} |B~_{ab}|^2 L(a_a, c_b) >= 0, over the
+    supports of A, C >= 0."""
+    return float(_spectral_bkm_form(*_validated_spectra(a, c, b)))
 
 
 class ChannelWeights(NamedTuple):
@@ -123,7 +147,7 @@ def _check_midpoint(rho_min) -> None:
     M - tY = U (M + tY) U* and U Y U* = -Y with U = I (+) -I, so one lambda_min
     serves both signs at t = 1, and g_{M-tY}(Y, Y) = g_{M+tY}(Y, Y) for every
     Petz metric: the margins are evaluated at M + tY only.  M > 0 is gated by
-    the BKM form and by M in the midpoint stack.
+    M, the t = 0 member of the midpoint stack.
     """
     _fail_first(rho_min < -PSD_TOL, DomainError, "M +- Y must be positive semidefinite")
 

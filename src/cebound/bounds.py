@@ -31,39 +31,12 @@ from .linalg import (
 from .twolevel import binary_entropy
 
 MARGIN_TOL = 1e-9
-REG_DELTA = 1e-10
-REG_MIN_SHIFT = 1.5e-12  # above POSITIVITY_FLOOR by far more than eigh rounding
 FIDELITY_PSD_TOL = 1e-14
 
 
-def _operator_bound(sp: _BlockSpectra, b, regularize: bool) -> tuple[np.ndarray, bool]:
-    """The BKM form from the block spectra, and whether it was regularized.
-
-    (1-delta) A + (delta/d) I keeps the eigenvectors of A, so the regularized
-    spectra are (1-delta) w + delta/d, delta/d >= REG_MIN_SHIFT.  Over a stack,
-    every member is regularized when one needs it; only single states ask for it.
-    """
-    low = np.minimum(sp.wa[..., 0], sp.wc[..., 0])
-    regularized = regularize and not np.all(low > POSITIVITY_FLOOR)
-    if regularized:
-        d = sp.wa.shape[-1] + sp.wc.shape[-1]
-        delta = max(REG_DELTA, d * REG_MIN_SHIFT)
-        wa = (1.0 - delta) * sp.wa + delta / d
-        wc = (1.0 - delta) * sp.wc + delta / d
-        sp = sp._replace(wa=wa, wc=wc)
-        b = (1.0 - delta) * b
-    sp.check_positive()
-    return _spectral_bkm_form(sp, b), regularized
-
-
-def operator_bound(state: BlockState, regularize: bool = False) -> float:
-    """The BKM operator lower bound Tr[B* Omega_{A,C}^{-1}(B)].
-
-    Singular A or C raises unless ``regularize`` is set, in which case the
-    bound is computed on (1-delta) rho + (delta/d) I, delta = max(1e-10, 1.5e-12 d).
-    """
-    sp = _validated_spectra(state.a, state.c, state.b)[0]
-    return float(_operator_bound(sp, state.b, regularize)[0])
+def operator_bound(state: BlockState) -> float:
+    """The BKM lower bound Tr[B* Omega_{A,C}^{-1}(B)] over the supports of A, C >= 0."""
+    return bkm_form(state.a, state.c, state.b)
 
 
 def _log_bound(a0, state: BlockState) -> np.ndarray:
@@ -173,18 +146,15 @@ class _Bounds(NamedTuple):
         }
 
 
-def _bounds(state, sp, rho, w_rho, svals, regularize=False) -> tuple[_Bounds, bool]:
-    """Every bound from the spectra of A, C and rho and the singular values of B,
-    and whether the BKM form was regularized."""
-    bkm, used_reg = _operator_bound(sp, state.b, regularize)
-    bounds = _Bounds(
+def _bounds(state, sp, rho, w_rho, svals) -> _Bounds:
+    """Every bound from the spectra of A, C and rho and the singular values of B."""
+    return _Bounds(
         entropy=_coherence_entropy(w_rho, sp.wa, sp.wc),
-        bkm=bkm,
+        bkm=_spectral_bkm_form(sp, state.b),
         log=_log_bound(sp.wa[..., 0], state),
         pinsker=_pinsker(svals),
         fidelity=_fidelity_bound(sp, rho),
     )
-    return bounds, used_reg
 
 
 class BoundReport(NamedTuple):
@@ -198,7 +168,6 @@ class BoundReport(NamedTuple):
     coarse_applicable: bool
     margins: dict
     params: dict
-    regularized: bool
 
     def to_dict(self) -> dict:
         return self._asdict()
@@ -207,7 +176,7 @@ class BoundReport(NamedTuple):
         return min(self.margins.values())
 
 
-def bound_report(state: BlockState, regularize: bool = False) -> BoundReport:
+def bound_report(state: BlockState) -> BoundReport:
     """Aggregate all lower bounds for one state, with margins entropy - bound.
 
     One eigendecomposition of each of A and C, one eigvalsh of rho and one
@@ -216,16 +185,14 @@ def bound_report(state: BlockState, regularize: bool = False) -> BoundReport:
     sp = _validated_spectra(state.a, state.c, state.b)[0]
     rho = state.to_matrix()
     svals = np.linalg.svd(state.b, compute_uv=False)
-    bounds, used_reg = _bounds(
-        state, sp, rho, np.linalg.eigvalsh(rho), svals, regularize
-    )
+    bounds = _bounds(state, sp, rho, np.linalg.eigvalsh(rho), svals)
     log_b = _optional(bounds.log)
     margins = {
         name: float(value)
         for name, value in bounds.margins().items()
         if log_b is not None or not name.startswith("log")
     }
-    a0 = float(sp.wa[0]) if sp.wa[0] > POSITIVITY_FLOOR else 0.0  # 0 where A fails the gate
+    a0 = float(sp.wa[0]) if sp.wa[0] > POSITIVITY_FLOOR else 0.0  # 0 for A singular or near it
     eps_q = float(np.trace(state.c).real)
     frob_sq = float(np.sum(np.abs(state.b) ** 2))
     pinsker = float(bounds.pinsker)
@@ -248,7 +215,6 @@ def bound_report(state: BlockState, regularize: bool = False) -> BoundReport:
         coarse_applicable=log_b is not None,
         margins=margins,
         params=params,
-        regularized=used_reg,
     )
 
 

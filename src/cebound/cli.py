@@ -100,7 +100,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_report(args) -> int:
     state = read_state_json(args.state)
-    report = bound_report(state, regularize=args.regularize)
+    report = bound_report(state)
     print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
     return 0
 
@@ -181,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="bound report for a JSON state file")
     p.add_argument("state")
-    p.add_argument("--regularize", action="store_true")
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("orbit", help="dephasing orbit CSV for a JSON state file")

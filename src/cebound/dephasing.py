@@ -15,8 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bkm import _check_midpoint, _path
-from .bounds import _log_bound, _operator_bound, _optional
+from .bkm import _check_midpoint, _path, _spectral_bkm_form
+from .bounds import _log_bound, _optional
 from .errors import DomainError, _fail_first
 from .linalg import BlockState, _trace_log, _validated_spectra, _xlogx_sum, pinch
 
@@ -61,12 +61,13 @@ class OrbitConfig:
         m, y = pinch(state), state.off_diagonal()
         start = _orbit_terms(m, y, self.gamma, (0.0,))
         _check_midpoint(start[2][0, 0])
+        sp.check_positive()  # the rate bound is verified for A, C > 0 only
         for name, value in (
             ("m", m),
             ("y", y),
             ("start", start),
             ("tr_m_log_m", float(_xlogx_sum(sp.wa) + _xlogx_sum(sp.wc))),
-            ("bkm", float(_operator_bound(sp, state.b, regularize=False)[0])),
+            ("bkm", float(_spectral_bkm_form(sp, state.b))),
             ("log_bound", _optional(_log_bound(sp.wa[0], state))),
         ):
             object.__setattr__(self, name, value)

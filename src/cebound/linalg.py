@@ -4,8 +4,8 @@ relative entropy of coherence, and seeded random state generation.
 All matrices are dense complex numpy arrays.  Entropies are in nats.
 ``_support`` is the one support model: eigenvalues at or below
 ``SUPPORT_TOL * (1 + max|w|)`` are zero, with ``0 log 0 = 0`` and ``sqrt 0 = 0``.
-It decides kernels only: whether A and C are positive definite is decided by
-``_BlockSpectra.check_positive`` alone.
+It decides kernels and the BKM form's support pairs; where A and C must be
+positive definite, ``_BlockSpectra.check_positive`` decides it.
 """
 
 from __future__ import annotations
@@ -149,8 +149,8 @@ class _BlockSpectra(NamedTuple):
         return np.concatenate([self.wa, self.wc], axis=-1), _block_diag(self.va, self.vc)
 
     def check_positive(self) -> None:
-        """Raise unless A and C clear POSITIVITY_FLOOR, the BKM domain, for every
-        member of a stack; the error names the block and its lambda_min."""
+        """Raise unless A and C clear POSITIVITY_FLOOR, for every member of a
+        stack; the error names the block and its lambda_min."""
         for name, w in (("A", self.wa), ("C", self.wc)):
             message = f"{name} must be positive definite, lambda_min = {{:.3e}}"
             _fail_first(w[..., 0] <= POSITIVITY_FLOOR, PositivityError, message, w[..., 0])

@@ -72,7 +72,7 @@ def _stack_margins(state: BlockState, sigma: BlockState) -> dict:
     _check_midpoint(w_rho[:, 0])
     rho = state.to_matrix()
     svd = np.linalg.svd(state.b)
-    bounds, _ = _bounds(state, sp, rho, w_rho, svd[1])
+    bounds = _bounds(state, sp, rho, w_rho, svd[1])
     margins = bounds.margins()
 
     forms = _petz_forms(m, y, (0.0, *MIDPOINT_GRID), tuple(PETZ_FUNCTIONS))

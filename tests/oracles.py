@@ -6,6 +6,9 @@ tests can cross-check that way.
 
 - ``bkm_quadrature``: ``Tr[B* Omega^{-1}(B)]`` by quadrature of the resolvent
   integral, against the spectral ``bkm_form``.
+- ``regularized_bkm_form``: the BKM form of ``(1 - delta) rho + delta I/d`` in
+  ``mpmath``, whose ``delta -> 0`` limit the form over the supports of singular
+  ``A`` and ``C`` must be.
 - ``entropy_terms`` and ``relative_entropy``: ``Tr[rho (log rho - log sigma)]``
   for any PSD pair, and the general Umegaki ``D(rho || sigma)``.
 - ``sample_feasible`` and ``variational_check``: rejection sampling of states
@@ -75,6 +78,29 @@ def bkm_quadrature(a, c, b, tol: float = 1e-10) -> float:
             return cur
         prev = cur
     raise NumericError("bkm_quadrature did not converge in 24 refinement levels")
+
+
+def regularized_bkm_form(a, c, b, delta):
+    """The BKM form of (1 - delta) rho + delta I/d, d = d_A + d_C, for ``mpmath``
+    matrices A, C and B, at the working precision.
+
+    (1 - delta) A + (delta/d) I keeps the eigenvectors of A, so its spectrum is
+    (1 - delta) w + delta/d; likewise for C, and B becomes (1 - delta) B.  Every
+    eigenvalue is then at least delta/d - |w_min|, positive for a state's blocks.
+    """
+    from mpmath import mp
+
+    d = a.rows + c.rows
+    (wa, va), (wc, vc) = mp.eighe(a), mp.eighe(c)
+    bt = va.H * b * vc
+    total = mp.mpf(0)
+    for i in range(a.rows):
+        x = (1 - delta) * wa[i] + delta / d
+        for j in range(c.rows):
+            y = (1 - delta) * wc[j] + delta / d
+            kernel = 1 / x if x == y else mp.log(x / y) / (x - y)
+            total += (1 - delta) ** 2 * abs(bt[i, j]) ** 2 * kernel
+    return total
 
 
 def entropy_terms(rho, sigma) -> float:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -68,10 +69,24 @@ def test_kernel_direct_value():
 
 
 def test_kernel_rejects_nonpositive():
-    with pytest.raises(DomainError):
-        log_mean_kernel(0.0, 1.0)
-    with pytest.raises(DomainError):
-        log_mean_kernel(1.0, -2.0)
+    # NaN and inf once returned nan silently
+    for a, c in [(0.0, 1.0), (1.0, -2.0), (math.nan, 1.0), (math.inf, 1.0), (1.0, math.inf)]:
+        with pytest.raises(DomainError, match="needs finite positive arguments"):
+            log_mean_kernel(a, c)
+
+
+def test_kernel_where_the_relative_gap_overflows():
+    # (hi - lo)/lo overflows at (1e308, 1e-308): the kernel returned inf with a
+    # RuntimeWarning; log hi - log lo gives 1418.17.../1e308
+    from mpmath import log as mplog, mpf, workdps
+
+    with workdps(50):
+        exact = float((mplog(mpf(1e308)) - mplog(mpf(1e-308))) / (mpf(1e308) - mpf(1e-308)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert log_mean_kernel(1e308, 1e-308) == pytest.approx(exact, rel=1e-15)
+        assert log_mean_kernel(1e-308, 1e308) == log_mean_kernel(1e308, 1e-308)
+    assert exact == pytest.approx(1.418e-305, rel=1e-3)
 
 
 @settings(max_examples=100, deadline=None)
@@ -151,8 +166,29 @@ def test_bkm_apply_linear_in_b():
 
 
 def test_bkm_apply_rejects_singular():
-    with pytest.raises(PositivityError):
-        bkm_apply(np.diag([1.0, 0.0]), np.eye(1), np.ones((2, 1)))
+    # A singular A is in the domain, over its support: Omega^{-1}(B) = B L(1, 1)
+    # for B on that support, and a weight of 1e-12 <= SUPPORT_MASS_TOL on ker A
+    # is dropped.  B = ones has weight on ker A, which no state has
+    a = np.diag([1.0, 0.0])
+    b = np.array([[0.5], [0.0]])
+    assert np.array_equal(bkm_apply(a, np.eye(1), b), b)
+    assert np.array_equal(bkm_apply(a, np.eye(1), b + [[0.0], [1e-6]]), b)
+    with pytest.raises(DomainError, match="off the supports of A and C"):
+        bkm_apply(a, np.eye(1), np.ones((2, 1)))
+
+
+@pytest.mark.parametrize("func", [bkm_form, bkm_apply], ids=lambda f: f.__name__)
+def test_blocks_of_no_state_are_typed_errors(func):
+    # (A, C, B) that are not the blocks of a state: B with weight on ker A, and
+    # an indefinite A.  report cannot reach either, as validate_density runs
+    # first (tests/test_cli.py)
+    message = r"^B has weight \|B~_ij\|\^2 = 1\.000e\+00 off the supports of A and C$"
+    with pytest.raises(DomainError, match=message) as info:
+        func(np.diag([1.0, 0.0]), np.eye(1), np.ones((2, 1)))
+    assert not isinstance(info.value, PositivityError)
+    message = "^A must be positive semidefinite, lambda_min = -1.000e-01$"
+    with pytest.raises(PositivityError, match=message):
+        func(np.diag([1.0, -0.1]), np.eye(1), np.zeros((2, 1)))
 
 
 @pytest.mark.parametrize(

@@ -35,10 +35,10 @@ from cebound import (
 )
 from cebound.bkm import log_mean_kernel
 from cebound.bounds import MARGIN_TOL
-from cebound.linalg import SUPPORT_TOL, _block_spectra, _max_psd_scale, pinch
+from cebound.linalg import SUPPORT_TOL, _block_spectra, _gaussian, _max_psd_scale, pinch
 
 from conftest import random_states
-from oracles import bkm_quadrature
+from oracles import bkm_quadrature, regularized_bkm_form
 
 
 def flat_state(seed=1):
@@ -66,7 +66,9 @@ def test_operator_bound_boundary_ensemble_margin():
     assert coherence_entropy(s) - operator_bound(s) >= -1e-9
 
 
-def test_operator_bound_singular_requires_regularization():
+def test_operator_bound_of_a_singular_block():
+    # C = (0) is singular and B = 0: the form over the supports is 0, where
+    # the form over A, C > 0 raised PositivityError
     s = two_level_pure(0.25)
     singular = BlockState(
         dim_p=1,
@@ -75,63 +77,70 @@ def test_operator_bound_singular_requires_regularization():
         b=np.zeros((1, 1), dtype=complex),
         c=np.array([[0.0]], dtype=complex),
     )
-    with pytest.raises(PositivityError):
-        operator_bound(singular)
-    assert operator_bound(singular, regularize=True) >= 0.0
-    assert operator_bound(s) == operator_bound(s, regularize=True)
+    assert operator_bound(singular) == 0.0
+    assert operator_bound(s) == bkm_form(s.a, s.c, s.b)
 
 
-BKM_DOMAIN_CALLS = {
+BKM_FORM_CALLS = {
     "bkm_form": lambda s: bkm_form(s.a, s.c, s.b),
-    "bkm_apply": lambda s: bkm_apply(s.a, s.c, s.b),
+    "bkm_apply": lambda s: np.trace(s.b.conj().T @ bkm_apply(s.a, s.c, s.b)).real,
+    "operator_bound": operator_bound,
+    "bound_report": lambda s: bound_report(s).bkm_bound,
+}
+POSITIVITY_GATED_CALLS = {
     "channel_weights": lambda s: channel_weights(s.a, s.c, s.b),
     "bkm_quadrature": lambda s: bkm_quadrature(s.a, s.c, s.b),
-    "operator_bound": operator_bound,
-    "bound_report": bound_report,
     "OrbitConfig": lambda s: OrbitConfig(state=s, gamma=1.0, t_max=1.0, steps=2),
     "boundary sampler": lambda s: _max_psd_scale(_block_spectra(s.a, s.c), s.b),
 }
 
 
 @pytest.mark.parametrize("block", ["A", "C"])
-@pytest.mark.parametrize("name", list(BKM_DOMAIN_CALLS))
+@pytest.mark.parametrize("name", list(BKM_FORM_CALLS) + list(POSITIVITY_GATED_CALLS))
 def test_singular_block_fails_the_one_positivity_gate(name, block):
-    # every function of the BKM domain A, C > 0, and the boundary sampler's
-    # scale of B, raises the same error, which names the block and its lambda_min
-    diag = [0.5, 0.0, 0.5] if block == "A" else [0.5, 0.3, 0.2, 0.0]
-    state = block_decompose(np.diag(diag), 2)
+    # the BKM form sums over the supports, so A, C >= 0 suffices: its four
+    # routes give a finite value below D (0.32 <= 0.368 for A, 0.122 <= 0.132
+    # for C).  The channel weights and the quadrature oracle (L at every
+    # eigenvalue), OrbitConfig and the boundary sampler's scale of B (A^{-1/2})
+    # keep the gate A, C > 0, whose error names the block and its lambda_min
+    rho = np.diag([0.5, 0.0, 0.5] if block == "A" else [0.5, 0.3, 0.2, 0.0])
+    rho[0, 2] = rho[2, 0] = 0.4 if block == "A" else 0.2
+    state = block_decompose(rho, 2)
+    if name in BKM_FORM_CALLS:
+        value = BKM_FORM_CALLS[name](state)
+        assert math.isfinite(value) and 0.0 <= value <= coherence_entropy(state)
+        return
     message = f"^{block} must be positive definite, lambda_min = 0.000e\\+00$"
     with pytest.raises(PositivityError, match=message):
-        BKM_DOMAIN_CALLS[name](state)
+        POSITIVITY_GATED_CALLS[name](state)
+
+
+def pure_state(dim):
+    """A random pure state with d_p = d_q = dim: A and C have rank 1."""
+    rng = np.random.default_rng(dim)
+    psi = rng.standard_normal(2 * dim) + 1j * rng.standard_normal(2 * dim)
+    psi /= np.linalg.norm(psi)
+    return block_decompose(np.outer(psi, psi.conj()), dim)
 
 
 @pytest.mark.parametrize("dim", [2, 32, 50, 64])
 def test_regularized_report_of_a_pure_state(dim):
-    # a pure state with d_p = d_q = dim has singular A and C.  The regularized
-    # spectrum (1 - delta) w + delta/d must clear POSITIVITY_FLOOR: with
-    # delta = REG_DELTA alone it misses from d = 100 on
-    rng = np.random.default_rng(dim)
-    psi = rng.standard_normal(2 * dim) + 1j * rng.standard_normal(2 * dim)
-    psi /= np.linalg.norm(psi)
-    state = block_decompose(np.outer(psi, psi.conj()), dim)
-    with pytest.raises(PositivityError):
-        bound_report(state)
-    report = bound_report(state, regularize=True)
-    assert report.regularized
+    # A and C of a pure state are singular.  The report needs no regularization:
+    # its BKM bound, over the supports, is the delta -> 0 limit of that of the
+    # regularized state (1 - delta) rho + delta I/d, and stays below D
+    report = bound_report(pure_state(dim))
+    assert report.bkm_bound > 0.0
     assert min(report.margins.values()) >= -MARGIN_TOL
 
 
 @pytest.mark.parametrize("dim", [2, 32, 50])
 def test_report_a0_reads_the_positivity_gate(dim):
-    # A of a pure state has rank 1, so lambda_min(A) fails the positivity gate:
+    # A of a pure state has rank 1, so lambda_min(A) is below POSITIVITY_FLOOR:
     # the report prints a0 = 0.0, not eigh's rounding-level value (-1.4e-16 at
     # 32 + 32)
-    rng = np.random.default_rng(dim)
-    psi = rng.standard_normal(2 * dim) + 1j * rng.standard_normal(2 * dim)
-    psi /= np.linalg.norm(psi)
-    state = block_decompose(np.outer(psi, psi.conj()), dim)
+    state = pure_state(dim)
     assert np.linalg.eigvalsh(state.a)[0] != 0.0
-    params = bound_report(state, regularize=True).params
+    params = bound_report(state).params
     assert params["a0"] == 0.0 and math.copysign(1.0, params["a0"]) == 1.0
     assert params["log_ratio"] is None
     # on a positive definite A, a0 is lambda_min(A) as eigh gives it
@@ -142,17 +151,75 @@ def test_report_a0_reads_the_positivity_gate(dim):
 def test_a_just_above_the_floor_is_positive_definite_everywhere():
     # lambda_min(A) = 1.2e-12 clears POSITIVITY_FLOOR = 1e-12 but not the support
     # cut SUPPORT_TOL (1 + 0.5) = 1.5e-12: the gate alone decides A > 0, so the
-    # report's a0 is lambda_min(A) and the boundary sampler scales B
+    # report's a0 is lambda_min(A) and the boundary sampler scales B.  The BKM
+    # form, over the supports, drops that row, where B~ is 0
     a = np.diag([0.5, 1.2e-12]).astype(complex)
     c = np.array([[0.5]], dtype=complex)
     b = np.array([[0.1], [0.0]], dtype=complex)
     assert 1.2e-12 <= SUPPORT_TOL * 1.5
     report = bound_report(BlockState(2, 1, a, b, c))
-    assert not report.regularized
     assert report.params["a0"] == 1.2e-12
     # the Schur complement: s = 1/||A^{-1/2} B C^{-1/2}||_2 = sqrt(0.5 * 0.5)/0.1
     scale = _max_psd_scale(_block_spectra(a, c), b)
     assert scale == pytest.approx(5.0, rel=1e-15)
+
+
+def _mp_rank_deficient_state(dim_p, dim_q, rank, narrow, seed):
+    """(rho, its float BlockState): rho = sum_k p_k psi_k psi_k* of ``rank``
+    terms as an ``mpmath`` matrix, of that rank at the working precision.
+    ``narrow`` ("A" or "C") confines that block's part of every psi_k to a
+    random subspace one dimension short, so the block is singular at any rank."""
+    from mpmath import mp
+
+    rng = np.random.default_rng(seed)
+    parts = []
+    for name, dim in (("A", dim_p), ("C", dim_q)):
+        basis = np.linalg.qr(_gaussian(rng, (dim, dim)))[0][:, :-1] if name == narrow else np.eye(dim)
+        coords = _gaussian(rng, (basis.shape[1], rank))
+        parts.append(mp.matrix(basis.tolist()) * mp.matrix(coords.tolist()))
+    weights = [mp.mpf(w) for w in rng.random(rank) + 0.1]
+    rho = mp.matrix(dim_p + dim_q)
+    for k in range(rank):
+        psi = mp.matrix([parts[0][i, k] for i in range(dim_p)] + [parts[1][i, k] for i in range(dim_q)])
+        rho += (weights[k] / mp.fsum(weights) / mp.norm(psi) ** 2) * (psi * psi.H)
+    return rho, block_decompose(np.array(rho.tolist(), dtype=complex), dim_p)
+
+
+def _mp_xlogx(x):
+    """Tr[X log X] of a PSD ``mpmath`` matrix, over its eigenvalues above 1e-40."""
+    from mpmath import mp
+
+    return mp.fsum(lam * mp.log(lam) for lam in mp.eighe(x, eigvals_only=True) if lam > 1e-40)
+
+
+@pytest.mark.parametrize(
+    "dim_p, dim_q, rank, narrow",
+    [
+        (2, 2, 1, None), (3, 3, 1, None), (4, 4, 1, None),  # pure: A and C singular
+        (3, 3, 2, None), (4, 4, 3, None),  # rank-deficient: A and C singular
+        (3, 2, 2, "A"), (4, 4, 4, "A"), (2, 3, 3, "C"), (4, 4, 4, "C"),  # one block singular
+    ],
+)
+def test_support_form_is_the_limit_of_the_regularized_form(dim_p, dim_q, rank, narrow):
+    # at 50 digits, on states of exact rank: the form over the supports is the
+    # delta -> 0 extrapolation 2 F(delta) - F(2 delta) of the regularized form F
+    # (whose bias is O(delta)), stays below D, and is Tr[B* Omega^{-1}(B)] with
+    # bkm_apply's Omega^{-1}
+    from mpmath import mp, workdps
+
+    with workdps(50):
+        rho, state = _mp_rank_deficient_state(dim_p, dim_q, rank, narrow, 100 * dim_p + dim_q + rank)
+        a, b, c = rho[:dim_p, :dim_p], rho[:dim_p, dim_p:], rho[dim_p:, dim_p:]
+        delta = mp.mpf("1e-30")
+        limit = 2 * regularized_bkm_form(a, c, b, delta) - regularized_bkm_form(a, c, b, 2 * delta)
+        entropy = _mp_xlogx(rho) - _mp_xlogx(a) - _mp_xlogx(c)
+    singular = [name for name, x in (("A", state.a), ("C", state.c)) if np.linalg.eigvalsh(x)[0] < 1e-12]
+    assert singular == (["A", "C"] if narrow is None else [narrow])
+    bound = operator_bound(state)
+    assert abs(bound - float(limit)) <= 1e-12 * float(limit)
+    assert bound <= float(entropy)
+    applied = np.trace(state.b.conj().T @ bkm_apply(state.a, state.c, state.b)).real
+    assert applied == pytest.approx(bkm_form(state.a, state.c, state.b), rel=1e-13)
 
 
 # --------------------------------------------------------------- log bound
@@ -367,7 +434,6 @@ def test_report_two_level_values():
         0.25 * 0.75 * log_mean_kernel(0.75, 0.25), rel=1e-14
     )
     assert r.entropy == pytest.approx(binary_entropy(0.25), abs=1e-12)
-    assert not r.regularized
     assert r.worst_margin() >= -1e-9
 
 
@@ -408,9 +474,10 @@ def test_report_to_dict_fields():
     d = bound_report(two_level_pure(0.2)).to_dict()
     for key in (
         "entropy", "bkm_bound", "log_bound", "pinsker_bound",
-        "fidelity_bound", "margins", "params", "regularized",
+        "fidelity_bound", "margins", "params",
     ):
         assert key in d
+    assert "regularized" not in d
 
 
 # --------------------------------------------------------- sharpness family

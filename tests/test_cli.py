@@ -164,9 +164,10 @@ def test_verify_group_midpoint_stack_is_m_and_each_m_plus_ty(lapack_calls):
 
 
 def test_singular_m_is_gated_by_the_midpoint_stack_and_the_bkm_form(capsys, tmp_path):
-    # a pure 2 + 2 state has rank-1 A and C, so M is singular.  M > 0 has no
-    # check of its own: the t = 0 member of the midpoint stack gates it in
-    # midpoint_margins, and the BKM form in OrbitConfig and the orbit command
+    # a pure 2 + 2 state has rank-1 A and C, so M is singular.  The BKM form,
+    # over the supports, does not gate A, C > 0: the t = 0 member of the
+    # midpoint stack gates M > 0 in midpoint_margins, and OrbitConfig's own
+    # positivity gate in OrbitConfig and the orbit command
     rng = np.random.default_rng(12)
     psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     psi /= np.linalg.norm(psi)
@@ -185,14 +186,19 @@ def test_singular_m_is_gated_by_the_midpoint_stack_and_the_bkm_form(capsys, tmp_
 
 @pytest.mark.parametrize("command", ["report", "orbit"])
 def test_singular_block_error_names_the_block(capsys, tmp_path, command):
-    # C = diag(0.2, 0) is singular: both commands print the positivity gate's
-    # message, which names the block and its lambda_min
+    # C = diag(0.2, 0) is singular: report sums the BKM form over the supports
+    # and exits 0; orbit prints its positivity gate's message, which names the
+    # block and its lambda_min
     path = tmp_path / "singular_c.json"
     write_state_json(path, block_decompose(np.diag([0.5, 0.3, 0.2, 0.0]), 2))
     argv = [command, str(path)]
-    if command == "orbit":
-        argv += ["--gamma", "1", "--t-max", "2", "--steps", "2"]
-        argv += ["--out", str(tmp_path / "orbit.csv")]
+    if command == "report":
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert json.loads(out)["bkm_bound"] == 0.0
+        return
+    argv += ["--gamma", "1", "--t-max", "2", "--steps", "2"]
+    argv += ["--out", str(tmp_path / "orbit.csv")]
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == "error: C must be positive definite, lambda_min = 0.000e+00\n"
@@ -614,6 +620,44 @@ def test_report_non_psd_file_exits_two(capsys, tmp_path):
     code, _, err = run(capsys, "report", str(path))
     assert code == 2
     assert "positive" in err
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[0.5, 0.0, 0.5], [0.0, 0.0, 0.5], [0.5, 0.5, 0.5]],  # B with weight on ker A
+        [[0.6, 0.0, 0.0], [0.0, -0.1, 0.0], [0.0, 0.0, 0.5]],  # A indefinite
+    ],
+    ids=["weight-on-ker-a", "indefinite-a"],
+)
+def test_report_never_reaches_the_bkm_forms_typed_errors(capsys, tmp_path, matrix):
+    # blocks that raise DomainError or PositivityError in the BKM form are no
+    # state: validate_density rejects the file first, with exit 2
+    path = tmp_path / "not_a_state.json"
+    pairs = [[[x, 0.0] for x in row] for row in matrix]
+    path.write_text(json.dumps({"dim_p": 2, "dim_q": 1, "matrix": pairs}))
+    code, out, err = run(capsys, "report", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: state file matrix is not positive semidefinite")
+    assert "Traceback" not in err
+
+
+def test_report_pure_state_exits_zero(capsys, tmp_path):
+    # the BKM form over the supports needs no regularization, and --regularize
+    # is gone: a usage error
+    rng = np.random.default_rng(3)
+    for dim in (2, 32, 64):
+        psi = rng.standard_normal(2 * dim) + 1j * rng.standard_normal(2 * dim)
+        psi /= np.linalg.norm(psi)
+        path = tmp_path / f"pure_{dim}.json"
+        write_state_json(path, block_decompose(np.outer(psi, psi.conj()), dim))
+        code, out, err = run(capsys, "report", str(path))
+        assert code == 0 and err == ""
+        assert min(json.loads(out)["margins"].values()) >= -1e-9
+    with pytest.raises(SystemExit) as exc:
+        main(["report", str(path), "--regularize"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --regularize" in capsys.readouterr().err
 
 
 def test_report_missing_file_exits_two(capsys):
