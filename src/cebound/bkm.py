@@ -37,7 +37,10 @@ def log_mean_kernel(a: float, c: float) -> float:
     """L(a, c) = log(a/c)/(a - c), with L(a, a) = 1/a, for finite a, c > 0."""
     if not (0.0 < a < np.inf and 0.0 < c < np.inf):  # NaN fails too
         raise DomainError(f"log_mean_kernel needs finite positive arguments, got ({a}, {c})")
-    return float(_log_mean(np.float64(a), np.float64(c)))
+    value = float(_log_mean(np.float64(a), np.float64(c)))
+    if not np.isfinite(value):  # L(a, c) >= 1/max(a, c) can exceed the float range
+        raise DomainError(f"log_mean_kernel({a}, {c}) = {value} exceeds the float range")
+    return value
 
 
 def _kernel(lam: np.ndarray, mu: np.ndarray, tag: str = "bkm") -> np.ndarray:

@@ -89,6 +89,17 @@ def test_kernel_where_the_relative_gap_overflows():
     assert exact == pytest.approx(1.418e-305, rel=1e-3)
 
 
+@pytest.mark.filterwarnings("error")
+def test_kernel_rejects_a_value_past_the_float_range():
+    # L(a, c) >= 1/max(a, c): at 5e-324 it is about 2e323, and at (1e-310,
+    # 2e-310) about 6.9e309, which printed inf with no error and no warning
+    for a, c in [(5e-324, 5e-324), (1e-310, 2e-310), (2e-310, 1e-310), (5e-309, 5e-309)]:
+        with pytest.raises(DomainError, match="exceeds the float range"):
+            log_mean_kernel(a, c)
+    # 1/1e-308 = 1e308 is still a float
+    assert log_mean_kernel(1e-308, 1e-308) == 1.0 / 1e-308
+
+
 @settings(max_examples=100, deadline=None)
 @given(positive, positive)
 def test_kernel_symmetric(a, c):

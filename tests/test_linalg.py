@@ -11,8 +11,9 @@ import subprocess
 import sys
 
 import numpy as np
+import orjson
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cebound import (
@@ -538,10 +539,17 @@ def test_state_json_round_trip(tmp_path):
 GOLDEN_STATE = pathlib.Path(__file__).parent / "golden" / "boundary_3_2.json"
 
 
-def _reference_state_text(state) -> str:
-    """A state file as json.dump writes it from per-entry [re, im] pairs."""
-    matrix = [[[z.real, z.imag] for z in row] for row in state.to_matrix()]
-    return json.dumps({"dim_p": state.dim_p, "dim_q": state.dim_q, "matrix": matrix})
+def _reference_state_bytes(state) -> bytes:
+    """A state file as orjson encodes the per-entry [re, im] pairs as Python floats."""
+    matrix = [[[z.real, z.imag] for z in row] for row in state.to_matrix().tolist()]
+    return orjson.dumps({"dim_p": state.dim_p, "dim_q": state.dim_q, "matrix": matrix})
+
+
+def _parsed_matrix_bytes(path, loads=json.loads) -> bytes:
+    """The matrix of a state file parsed by ``loads`` (the stdlib json by
+    default), as complex128 bytes."""
+    pairs = np.array(loads(path.read_bytes())["matrix"], dtype=float)
+    return np.ascontiguousarray(pairs).view(complex)[..., 0].tobytes()
 
 
 def _writer_states():
@@ -565,22 +573,25 @@ def _writer_states():
 
 @pytest.mark.parametrize("state", list(_writer_states()))
 def test_state_file_bytes_and_round_trip(tmp_path, state):
-    # one json.dumps pass writes what json.dump of the per-entry pairs wrote,
-    # byte for byte, and reading the file gives the blocks back bit for bit,
-    # signed zeros included (np.array_equal would take -0.0 for 0.0)
+    # one orjson pass over the float view writes what orjson writes for the
+    # per-entry pairs, byte for byte; reading the file, with the reader or the
+    # stdlib json, gives the blocks back bit for bit, signed zeros included
+    # (np.array_equal would take -0.0 for 0.0)
     path = tmp_path / "state.json"
     write_state_json(path, state)
-    assert path.read_bytes() == _reference_state_text(state).encode()
+    assert path.read_bytes() == _reference_state_bytes(state)
     back = read_state_json(path)
     assert (back.dim_p, back.dim_q) == (state.dim_p, state.dim_q)
     for got, want in ((back.a, state.a), (back.b, state.b), (back.c, state.c)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert _parsed_matrix_bytes(path) == state.to_matrix().tobytes()
 
 
 def test_state_file_bytes_of_extreme_floats(tmp_path):
     # signed zeros, the least subnormal and entries near both ends of the float
-    # range are written as json.dump wrote them (the state is not a density
-    # matrix, so it is not read back)
+    # range are written in orjson's shortest round-trip notation, and the
+    # stdlib json parses them to the same bits (the state is not a density
+    # matrix, so read_state_json would refuse it)
     state = BlockState(
         dim_p=1,
         dim_q=2,
@@ -592,9 +603,58 @@ def test_state_file_bytes_of_extreme_floats(tmp_path):
     path = tmp_path / "state.json"
     write_state_json(path, state)
     text = path.read_text()
-    assert text == _reference_state_text(state)
-    for literal in ("-0.0", "5e-324", "1e-300", "1e+300"):
+    assert text.encode() == _reference_state_bytes(state)
+    for literal in ("-0.0", "5e-324", "1e-300", "1e300"):
         assert literal in text
+    assert "1e+300" not in text and " " not in text and not text.endswith("\n")
+    assert _parsed_matrix_bytes(path) == state.to_matrix().tobytes()
+
+
+def test_state_file_of_real_blocks(tmp_path):
+    # blocks of a real dtype are written as [re, 0.0] pairs, not as bare floats
+    state = BlockState(1, 1, np.array([[0.75]]), np.array([[0.25]]), np.array([[0.25]]))
+    path = tmp_path / "state.json"
+    write_state_json(path, state)
+    assert path.read_bytes() == _reference_state_bytes(state)
+    assert read_state_json(path).b.tobytes() == np.array([[0.25 + 0j]]).tobytes()
+
+
+_BIT_PATTERNS = st.integers(0, 2**64 - 1).map(
+    lambda n: np.array(n, dtype=np.uint64).view(np.float64).item()
+).filter(math.isfinite)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False), _BIT_PATTERNS),
+                min_size=18, max_size=18))
+@example([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+          1.7976931348623157e308, -1.7976931348623157e308, 1e300, -1e-300, 0.1, 1.0,
+          1e16, 1e-7, 123456789.0, 0.00001, -1e22, 1e21])
+def test_state_file_floats_round_trip_bit_for_bit(tmp_path_factory, floats):
+    # any finite float64 (subnormals, signed zeros and +-max included) parses
+    # back to its own bits, through orjson as read_state_json parses and
+    # through the stdlib json
+    m = np.array(floats).view(complex).reshape(3, 3)
+    state = BlockState(dim_p=1, dim_q=2, a=m[:1, :1], b=m[:1, 1:], c=m[1:, 1:])
+    want = state.to_matrix().tobytes()
+    path = tmp_path_factory.mktemp("floats") / "state.json"
+    write_state_json(path, state)
+    for loads in (orjson.loads, json.loads):
+        assert _parsed_matrix_bytes(path, loads) == want
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("part", ["real", "imag"])
+def test_state_file_writer_refuses_non_finite_entries(tmp_path, bad, part):
+    # a NaN was written as a NaN literal that read_state_json refuses, and
+    # orjson alone would write null: the writer raises and leaves no file
+    z = complex(bad, 0.0) if part == "real" else complex(0.0, bad)
+    state = BlockState(dim_p=1, dim_q=1, a=np.array([[0.5 + 0j]]), b=np.array([[z]]),
+                       c=np.array([[0.5 + 0j]]))
+    path = tmp_path / "state.json"
+    with pytest.raises(ValidationError, match="non-finite"):
+        write_state_json(path, state)
+    assert not path.exists()
 
 
 def test_golden_state_file_rewrites_to_its_bytes(tmp_path):
