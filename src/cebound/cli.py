@@ -23,7 +23,7 @@ from .bounds import (
     separation_family,
     sharpness_family,
 )
-from .dephasing import RATE_REL_TOL, OrbitConfig, orbit_trace, write_orbit_csv
+from .dephasing import RATE_REL_TOL, OrbitConfig, csv_line, orbit_trace, write_orbit_csv
 from .errors import CeboundError
 from .linalg import read_state_json, state_payload
 from .variational import modulus_curve
@@ -146,18 +146,15 @@ def _cmd_sharpness(args) -> int:
     points = [sharpness_family(q) for q in args.q]
     print("q,entropy,bkm,ratio_bkm,ratio_log")
     for q, pt in zip(args.q, points):
-        print(
-            f"{q:.17g},{pt.entropy:.17g},{pt.bkm:.17g},"
-            f"{pt.ratio_bkm:.17g},{pt.ratio_log:.17g}"
-        )
+        print(csv_line((q, pt.entropy, pt.bkm, pt.ratio_bkm, pt.ratio_log)))
     return 0
 
 
 def _cmd_modulus(args) -> int:
     rows = modulus_curve(args.a_star, args.tau, args.eps)
     print("eps_q,phi,phi_per_coherence")
-    for eps_q, val, per in rows:
-        print(f"{eps_q:.17g},{val:.17g},{per:.17g}")
+    for row in rows:
+        print(csv_line(row))
     return 0
 
 

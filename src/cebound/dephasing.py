@@ -17,7 +17,7 @@ import numpy as np
 
 from .bkm import _check_midpoint, _path, _spectral_bkm_form
 from .bounds import _log_bound, _optional
-from .errors import DomainError, _fail_first
+from .errors import DomainError, NumericError, _fail_first
 from .linalg import BlockState, _trace_log, _validated_spectra, _xlogx_sum, pinch
 
 RATE_REL_TOL = 1e-6
@@ -122,6 +122,8 @@ def _row(cfg: OrbitConfig, t: float, terms) -> OrbitRow:
     """The orbit's row at time t from one ``_orbit_terms`` result at (t,)."""
     tr_log, rate, _ = terms
     rate, bound = float(rate[0]), _decay(cfg.gamma, t) * cfg.bkm
+    if t > 0.0 and not math.isfinite(rate):  # rho_t > 0 at t > 0: the exact rate is finite
+        raise NumericError(f"orbit rate at t = {t} is {rate}: rho_t is singular in float64")
     entropy = float(tr_log[0]) - cfg.tr_m_log_m
     return OrbitRow(t, entropy, rate, bound, log_enhanced_bound(cfg, t), rate - bound)
 
@@ -130,7 +132,7 @@ def entropy_production(cfg: OrbitConfig, t: float) -> OrbitRow:
     """The orbit's row at time t: the rate -dD/dt = Gamma alpha Tr[Y log rho_t]
     (+inf at a singular rho_t, see ``_orbit_terms``) against its BKM lower bound
     2 Gamma e^{-2 Gamma t} Tr[B* Omega^{-1}(B)]; ``tests/oracles.py`` checks the
-    rate against a finite difference."""
+    rate against a finite difference.  At t > 0 a non-finite rate raises NumericError."""
     return _row(cfg, t, _orbit_terms(cfg.m, cfg.y, cfg.gamma, (t,)))
 
 
@@ -161,13 +163,13 @@ def orbit_trace(cfg: OrbitConfig) -> list:
         return [_row(cfg, 0.0, cfg.start), *(row for part in parts for row in part)]
 
 
+def csv_line(values) -> str:
+    """A CSV line of the CLI's tables: 17 significant digits per float, None empty."""
+    return ",".join("" if x is None else f"{x:.17g}" for x in values)
+
+
 def write_orbit_csv(path, rows) -> None:
-    """CSV with 17-significant-digit floats; empty log_bound when inapplicable."""
+    """The orbit's rows as CSV, one ``csv_line`` each; empty log_bound when inapplicable."""
     with open(path, "w") as fh:
         fh.write("t,entropy,rate,bkm_bound,log_bound,margin\n")
-        for row in rows:
-            log_col = "" if row.log_bound is None else f"{row.log_bound:.17g}"
-            fh.write(
-                f"{row.t:.17g},{row.entropy:.17g},{row.rate:.17g},"
-                f"{row.bound:.17g},{log_col},{row.margin:.17g}\n"
-            )
+        fh.writelines(csv_line(row) + "\n" for row in rows)

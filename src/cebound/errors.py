@@ -24,7 +24,8 @@ class InfeasibleError(DomainError):
 
 
 class NumericError(CeboundError, RuntimeError):
-    """An iterative numerical procedure failed to converge."""
+    """A computed result failed a structural check (Kraus completeness, the merge), or
+    float64 cannot resolve it (an orbit row at t > 0)."""
 
 
 def _fail_first(bad, error: type, message: str, *values) -> None:

@@ -6,8 +6,11 @@ import importlib
 import itertools
 import json
 import math
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -38,6 +41,10 @@ from cebound.bkm import PETZ_FUNCTIONS
 from cebound.cli import build_parser, main
 from cebound.twolevel import binary_entropy, phi
 from cebound.verify import verify_group
+
+from test_golden import assert_matches
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -617,9 +624,9 @@ def test_report_non_psd_file_exits_two(capsys, tmp_path):
             }
         )
     )
-    code, _, err = run(capsys, "report", str(path))
-    assert code == 2
-    assert "positive" in err
+    code, out, err = run(capsys, "report", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: state file matrix is not positive semidefinite: lambda_min = -5.000e-01\n"
 
 
 @pytest.mark.parametrize(
@@ -653,11 +660,15 @@ def test_report_pure_state_exits_zero(capsys, tmp_path):
         write_state_json(path, block_decompose(np.outer(psi, psi.conj()), dim))
         code, out, err = run(capsys, "report", str(path))
         assert code == 0 and err == ""
-        assert min(json.loads(out)["margins"].values()) >= -1e-9
+        report = json.loads(out)
+        assert report["bkm_bound"] >= 0.0
+        assert min(report["margins"].values()) >= -1e-9
     with pytest.raises(SystemExit) as exc:
         main(["report", str(path), "--regularize"])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --regularize" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --regularize" in captured.err
 
 
 def test_report_missing_file_exits_two(capsys):
@@ -722,7 +733,7 @@ def test_orbit_exits_one_at_the_first_violated_row(capsys, monkeypatch, two_leve
 def test_orbit_needs_a_finite_bound_prefactor(capsys, tmp_path, gamma, code):
     # at gamma = 1e308 the prefactor 2 gamma overflowed: every row read nan for
     # bkm_bound, log_bound and margin, and nan passed the margin check (exit 0)
-    state = pathlib.Path(__file__).parent / "golden" / "boundary_3_2.json"
+    state = GOLDEN / "boundary_3_2.json"
     out_path = tmp_path / "orbit.csv"
     flags = ("--gamma", gamma, "--t-max", "1", "--steps", "2", "--out", str(out_path))
     got, out, err = run(capsys, "orbit", str(state), *flags)
@@ -751,7 +762,7 @@ def test_orbit_needs_a_finite_time_grid(capsys, tmp_path, t_max, steps, message)
     # a steps past the float range raised a bare OverflowError, exit 1, also where
     # t_max < 1 keeps the exact product finite, since the grid divides by steps;
     # a step below the smallest normal float wrote two rows at t = 0, exit 0
-    state = pathlib.Path(__file__).parent / "golden" / "boundary_3_2.json"
+    state = GOLDEN / "boundary_3_2.json"
     out_path = tmp_path / "orbit.csv"
     flags = ("--gamma", "1", "--t-max", t_max, "--steps", str(steps), "--out", str(out_path))
     got, out, err = run(capsys, "orbit", str(state), *flags)
@@ -761,6 +772,27 @@ def test_orbit_needs_a_finite_time_grid(capsys, tmp_path, t_max, steps, message)
         return
     assert got == 0
     assert out_path.read_text().splitlines()[-1].startswith("8.9000000000000001e+307,")
+
+
+@pytest.mark.parametrize(
+    "gamma, t_max, steps, t",
+    [
+        ("1", "1e-10", "10", "1.0000000000000001e-11"),
+        ("1e-15", "1", "4", "0.25"),
+        ("1e-320", "1", "2", "0.5"),
+    ],
+    ids=["t-1e-11", "gamma-1e-15", "gamma-1e-320"],
+)
+def test_orbit_row_float64_cannot_resolve_exits_two(capsys, tmp_path, gamma, t_max, steps, t):
+    # lambda_min(rho_t) ~ gamma t <v, M v> fell below the support cut: these
+    # rows printed rate = inf at t > 0, where rho_t > 0 and the exact rate is
+    # finite, and orbit exited 0.  Every row is built before the CSV is opened
+    out_path = tmp_path / "orbit.csv"
+    flags = ("--gamma", gamma, "--t-max", t_max, "--steps", steps, "--out", str(out_path))
+    got, out, err = run(capsys, "orbit", str(GOLDEN / "boundary_3_2.json"), *flags)
+    assert (got, out) == (2, "")
+    assert err == f"error: orbit rate at t = {t} is inf: rho_t is singular in float64\n"
+    assert not out_path.exists()
 
 
 def test_orbit_deterministic(capsys, two_level_file, tmp_path):
@@ -932,3 +964,30 @@ def test_non_finite_float_flag_exits_two(capsys, two_level_file, tmp_path, argv)
     assert exc.value.code == 2
     assert captured.out == ""
     assert "must be finite" in captured.err and "Traceback" not in captured.err
+
+
+# --------------------------------------------------------- a fresh process
+
+def test_python_m_cebound_cli_passes_mains_exit_code(tmp_path):
+    # the tests above call main() in this process; run as a script, the module
+    # must hand main's code to sys.exit, and a typed error must reach stderr as
+    # one message, not a traceback
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cebound.__file__).parents[1])}
+    state = str(GOLDEN / "boundary_3_2.json")
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "cebound.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    done = cli("report", state)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert_matches(json.loads(done.stdout),
+                   json.loads((GOLDEN / "report_boundary_3_2.json").read_text()))
+    out_path = tmp_path / "tiny.csv"
+    done = cli("orbit", state, "--gamma", "1", "--t-max", "5e-324", "--steps", "2",
+               "--out", str(out_path))
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+    assert not out_path.exists()
+    done = cli("report", state, "--regularize")
+    assert (done.returncode, done.stdout) == (2, "")

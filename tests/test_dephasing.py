@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -13,6 +14,7 @@ import pytest
 from cebound import (
     BlockState,
     DomainError,
+    NumericError,
     OrbitConfig,
     entropy_production,
     log_enhanced_bound,
@@ -301,6 +303,19 @@ def test_orbit_trace_t0_rate_is_inf_on_a_singular_state_only(tmp_path):
         assert all(math.isfinite(r.rate) and math.isfinite(r.margin) for r in rows)
 
 
+def test_a_rate_float64_cannot_resolve_at_t_above_zero_raises():
+    # on the golden boundary state, A, C > 0 makes rho_t >= (1 - alpha) M > 0 at
+    # t > 0, so the exact rate is finite; at t = 1e-11 lambda_min(rho_t) ~
+    # gamma t <v, M v> falls below the support cut (about 1.5e-12 here) and the
+    # row once read rate = inf
+    cfg = OrbitConfig(state=_boundary_3_2(), gamma=1.0, t_max=1.0, steps=2)
+    with pytest.raises(NumericError, match=r"^orbit rate at t = 1e-11 is inf: "):
+        entropy_production(cfg, 1e-11)
+    assert math.isfinite(entropy_production(cfg, 1e-10).rate)
+    # rho_0 is singular: the t = 0 row still reads +inf, as the exact rate does
+    assert entropy_production(cfg, 0.0).rate == math.inf
+
+
 def _mp_rate(s, gamma, t):
     """Gamma alpha Tr[Y log(M + alpha Y)] at the working mpmath precision."""
     from mpmath import mp
@@ -442,6 +457,17 @@ def test_orbit_row_failures_raise_the_earliest_row(monkeypatch, bad_rows):
         with pytest.raises(DomainError, match=f"at row {bad_rows[0]}$"):
             orbit_trace(cfg)
         assert started and not any(thread.is_alive() for thread in started)
+
+
+@pytest.mark.parametrize("gamma, t_max, steps", [(1.0, 1e-10, 10), (1e-15, 1.0, 8)])
+def test_orbit_names_the_earliest_row_float64_cannot_resolve(monkeypatch, gamma, t_max, steps):
+    # the unresolved rows are 1 and 2 (both in the first chunk of 2 CPUs), or
+    # every row (both chunks fail): the pool raises at row 1's t either way
+    cfg = OrbitConfig(state=_boundary_3_2(), gamma=gamma, t_max=t_max, steps=steps)
+    _cpus(monkeypatch, 2)
+    for _ in range(3):
+        with pytest.raises(NumericError, match=re.escape(f"t = {t_max / steps} is inf: ")):
+            orbit_trace(cfg)
 
 
 def test_importing_the_cli_leaves_concurrent_futures_unloaded():

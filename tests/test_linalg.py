@@ -652,7 +652,7 @@ def test_state_file_writer_refuses_non_finite_entries(tmp_path, bad, part):
     state = BlockState(dim_p=1, dim_q=1, a=np.array([[0.5 + 0j]]), b=np.array([[z]]),
                        c=np.array([[0.5 + 0j]]))
     path = tmp_path / "state.json"
-    with pytest.raises(ValidationError, match="non-finite"):
+    with pytest.raises(ValidationError, match="^state matrix has non-finite entries$"):
         write_state_json(path, state)
     assert not path.exists()
 
